@@ -17,7 +17,7 @@ def bar(value: float, peak: float, width: int = 40) -> str:
 
 
 def main() -> None:
-    mask = ObjectMask.from_values([1, 1, 0, 1, 0, 0, 0, 0])
+    mask = ObjectMask([1, 1, 0, 1, 0, 0, 0, 0])
     print(f"mask          {mask.values}  (budget {mask.budget} of {mask.d})\n")
 
     families = (

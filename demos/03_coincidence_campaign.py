@@ -18,7 +18,7 @@ from ghostswap import (
 
 
 def main() -> None:
-    mask = ObjectMask.from_values([1, 1, 0, 0, 0, 0])
+    mask = ObjectMask([1, 1, 0, 0, 0, 0])
     family = Projection.ANTI_SYMMETRIC
     predicted = analytic_contrast(mask.d, mask.budget, family).value
     print(f"mask {mask.values}, family {family.value}")

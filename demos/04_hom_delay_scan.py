@@ -23,8 +23,8 @@ def ascii_plot(delays: np.ndarray, rates: np.ndarray, width: int = 48) -> None:
 def main() -> None:
     delays = np.linspace(-3.0, 3.0, 25)
     same = hom_scan(
-        ObjectMask.from_values([1, 0]),
-        ObjectMask.from_values([1, 0]),
+        ObjectMask([1, 0]),
+        ObjectMask([1, 0]),
         delays,
         dip_width=1.0,
         shots_per_delay=4000,
@@ -37,8 +37,8 @@ def main() -> None:
     print(" ", " ".join(str(c) for c in same.sampled_counts))
 
     opposite = hom_scan(
-        ObjectMask.from_values([1, 0]),
-        ObjectMask.from_values([0, 1]),
+        ObjectMask([1, 0]),
+        ObjectMask([0, 1]),
         delays,
         dip_width=1.0,
     )

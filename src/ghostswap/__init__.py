@@ -16,6 +16,7 @@ from ghostswap.analytic import (
     projection_probability,
 )
 from ghostswap.coincidence import (
+    MAX_EVENT_TOTAL,
     CampaignConfig,
     CampaignResult,
     HomScanResult,
@@ -42,7 +43,6 @@ from ghostswap.hilbert import (
     enumerate_projectors,
     joint_probability,
     project_bc,
-    projector_state_vector,
     validate_dimension,
 )
 
@@ -65,7 +65,6 @@ __all__ = [
     "enumerate_projectors",
     "joint_probability",
     "project_bc",
-    "projector_state_vector",
     "validate_dimension",
     "ContrastValue",
     "Image",
@@ -75,6 +74,7 @@ __all__ = [
     "conditional_density",
     "contrast_of_image",
     "projection_probability",
+    "MAX_EVENT_TOTAL",
     "CampaignConfig",
     "CampaignResult",
     "HomScanResult",

@@ -30,16 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ghostswap.errors import DegenerateMaskError
-from ghostswap.hilbert import (
-    DensityMatrix,
-    ObjectMask,
-    Projection,
-    apply_object_mask,
-    build_initial_state,
-    enumerate_projectors,
-    project_bc,
-    validate_dimension,
-)
+from ghostswap.hilbert import DensityMatrix, ObjectMask, Projection, validate_dimension
 
 __all__ = [
     "Image",
@@ -218,18 +209,23 @@ def projection_probability(d: int, family: Projection) -> float:
 def conditional_density(mask: ObjectMask, family: Projection) -> DensityMatrix:
     """Unnormalized state of photon D heralded on photon A and the family.
 
-    Computed by full contraction: the masked four-photon state is projected
-    onto every family member and photon A is traced out. The trace equals
-    the heralded event probability, and the diagonal reproduces the
-    analytic image. Dimension is capped by the dense-tensor limit.
+    Tracing photon A out of the projected four-photon state leaves no
+    coherence between pixels of photon D, so the density matrix is diagonal
+    and its diagonal is the analytic image; the trace is the heralded event
+    probability. The dense contraction this equals lives in the tests as an
+    oracle. The result is a dense d x d matrix, so the dimension is capped
+    by the dense-tensor limit.
     """
-    state = apply_object_mask(build_initial_state(mask.d), mask)
-    if not isinstance(family, Projection):
-        raise ValueError(f"expected a Projection member, got {family!r}")
-    projectors = enumerate_projectors(mask.d, (family,))
-    stacked = np.stack([project_bc(state, p).amplitudes for p in projectors])
-    rho = np.einsum("pad,pae->de", stacked, stacked.conj())
-    return DensityMatrix(rho)
+    validate_dimension(mask.d, exact=True)
+    return DensityMatrix(np.diag(analytic_image(mask, family).pixels))
+
+
+def _require_contrast(d: int, budget: int) -> None:
+    """Raise DegenerateMaskError when a budget leaves no bright or no dark pixel."""
+    if budget in (0, d):
+        raise DegenerateMaskError(
+            f"mask budget {budget} of {d} pixels leaves no contrast to measure"
+        )
 
 
 def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
@@ -245,10 +241,7 @@ def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
     budget = int(budget)
     if not 0 <= budget <= d:
         raise ValueError(f"budget {budget} outside 0..{d}")
-    if budget in (0, d):
-        raise DegenerateMaskError(
-            f"budget {budget} of {d} pixels leaves no contrast to measure"
-        )
+    _require_contrast(d, budget)
     if not isinstance(family, Projection):
         raise ValueError(f"expected a Projection member, got {family!r}")
     if family in (Projection.PSI_MINUS, Projection.PSI_PLUS, Projection.ANTI_SYMMETRIC):
@@ -272,10 +265,7 @@ def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastVa
         raise ValueError(f"expected a 1-D pixel vector, got shape {values.shape}")
     if values.size != mask.d:
         raise ValueError(f"image has {values.size} pixels but mask has {mask.d}")
-    if mask.is_degenerate:
-        raise DegenerateMaskError(
-            f"mask budget {mask.budget} of {mask.d} pixels leaves no contrast to measure"
-        )
+    _require_contrast(mask.d, mask.budget)
     total = float(values.sum())
     if total <= 0.0:
         raise ValueError("image total is zero; contrast is undefined")

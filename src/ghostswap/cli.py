@@ -9,7 +9,6 @@ itself is inconsistent).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,8 +20,8 @@ from ghostswap.analytic import (
     analytic_contrast,
     analytic_image,
 )
-from ghostswap.coincidence import hom_scan, sample_campaign
-from ghostswap.configfile import load_hom_job, load_image_job
+from ghostswap.coincidence import hom_scan, sample_campaign, subtract_accidentals
+from ghostswap.configfile import _parse_mask, _read_json, load_hom_job, load_image_job
 from ghostswap.errors import ConfigError, DegenerateMaskError, ImageConsistencyError
 from ghostswap.hilbert import ObjectMask, Projection
 from ghostswap.io import (
@@ -45,14 +44,6 @@ def _out_dir(flag: str | None, config_dir: str | None) -> Path:
     return path
 
 
-def _effective_seed(flag: int | None, config_seed: int) -> int:
-    if flag is None:
-        return config_seed
-    if flag < 0:
-        raise ConfigError(f"seed must be nonnegative, got {flag}")
-    return flag
-
-
 def _contrast_entry(contrast) -> dict | None:
     if contrast is None:
         return None
@@ -61,30 +52,23 @@ def _contrast_entry(contrast) -> dict | None:
 
 def cmd_image(args: argparse.Namespace) -> int:
     job = load_image_job(args.config)
-    seed = _effective_seed(args.seed, job.seed)
-    if job.mask.is_degenerate:
-        raise DegenerateMaskError(
-            f"mask budget {job.mask.budget} of {job.mask.d} pixels "
-            "leaves no contrast to measure"
-        )
+    if args.seed is not None:
+        job = replace(job, seed=args.seed)
     analytic = analytic_image(job.mask, job.family)
     predicted = analytic_contrast(job.mask.d, job.mask.budget, job.family)
 
     result = None
     if not args.analytic_only:
-        config = replace(job.campaign_config(), seed=seed)
-        result = sample_campaign(config)
+        result = sample_campaign(job.campaign_config())
 
     out = _out_dir(args.out_dir, job.out_dir)
     layout = image_layout(job.mask.d, square=job.square_layout)
     height, width = layout
 
-    sampled = None if result is None else result.counts.pixels
-    corrected = None
+    sampled = corrected = None
     if result is not None:
-        corrected = np.clip(
-            sampled.astype(float) - result.accidental_estimate, 0.0, None
-        )
+        sampled = result.counts.pixels
+        corrected = subtract_accidentals(result.counts, result.accidental_estimate).pixels
     write_image_records(out / "image_records.csv", analytic.pixels, sampled, corrected)
 
     scales = {"analytic": write_pgm(out / "analytic.pgm", analytic.pixels, layout)}
@@ -105,7 +89,7 @@ def cmd_image(args: argparse.Namespace) -> int:
         "mode": job.mode,
         "total": job.total,
         "accidental_fraction": job.accidental_fraction,
-        "seed": seed,
+        "seed": job.seed,
         "analytic_only": bool(args.analytic_only),
         "layout": {"height": height, "width": width, "origin": "bottom-left"},
         "pgm_scale": scales,
@@ -123,21 +107,11 @@ def cmd_image(args: argparse.Namespace) -> int:
 
 def _figure_mask(args: argparse.Namespace) -> ObjectMask:
     d = args.dimension
-    if d < 2:
-        raise ConfigError(f"dimension must be at least 2, got {d}")
     if args.mask is not None:
-        try:
-            values = json.loads(Path(args.mask).read_text(encoding="utf-8"))
-        except OSError as error:
-            raise ConfigError(f"cannot read {args.mask}: {error}") from error
-        except json.JSONDecodeError as error:
-            raise ConfigError(f"{args.mask} is not valid JSON: {error}") from error
-        if not isinstance(values, list) or len(values) != d:
+        values = _read_json(args.mask)
+        if not isinstance(values, list):
             raise ConfigError(f"mask file must hold a list of {d} entries")
-        try:
-            mask = ObjectMask.from_values(values)
-        except ValueError as error:
-            raise ConfigError(str(error)) from error
+        mask, _ = _parse_mask(values, d, "mask file")
         if args.budget is not None and args.budget != mask.budget:
             raise ConfigError(
                 f"--budget {args.budget} conflicts with mask budget {mask.budget}"
@@ -148,7 +122,8 @@ def _figure_mask(args: argparse.Namespace) -> ObjectMask:
         raise ConfigError("give --budget or --mask")
     if not 0 <= budget <= d:
         raise ConfigError(f"budget {budget} outside 0..{d}")
-    return ObjectMask.from_values([1] * budget + [0] * (d - budget))
+    mask, _ = _parse_mask([1] * budget + [0] * (d - budget), d, "--dimension")
+    return mask
 
 
 def cmd_figure2(args: argparse.Namespace) -> int:
@@ -232,14 +207,15 @@ def cmd_figure2(args: argparse.Namespace) -> int:
 
 def cmd_hom(args: argparse.Namespace) -> int:
     job = load_hom_job(args.config)
-    seed = _effective_seed(args.seed, job.seed)
+    if args.seed is not None:
+        job = replace(job, seed=args.seed)
     scan = hom_scan(
         job.pattern_a,
         job.pattern_d,
         job.delays,
         job.dip_width,
         shots_per_delay=job.shots_per_delay,
-        seed=seed,
+        seed=job.seed,
     )
     out = _out_dir(args.out_dir, job.out_dir)
     rows = []
@@ -255,7 +231,7 @@ def cmd_hom(args: argparse.Namespace) -> int:
         "antisymmetric_weight": scan.antisymmetric_weight,
         "dip_width": scan.dip_width,
         "shots_per_delay": job.shots_per_delay,
-        "seed": seed,
+        "seed": job.seed,
         "files": ["hom_scan.csv", "summary.json"],
     }
     write_json(out / "summary.json", summary)

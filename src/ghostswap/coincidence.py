@@ -17,15 +17,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ghostswap.analytic import ContrastValue, Image, analytic_image, contrast_of_image
-from ghostswap.errors import DegenerateMaskError
-from ghostswap.hilbert import (
-    ObjectMask,
-    Projection,
-    enumerate_projectors,
+from ghostswap.analytic import (
+    ContrastValue,
+    Image,
+    _require_contrast,
+    analytic_image,
+    contrast_of_image,
 )
+from ghostswap.hilbert import ObjectMask, Projection
 
 __all__ = [
+    "MAX_EVENT_TOTAL",
     "CampaignConfig",
     "CampaignResult",
     "HomScanResult",
@@ -43,6 +45,10 @@ _MODES = ("fixed_time", "fixed_shots")
 # numpy seed sequences take unsigned 32-bit words
 _MAX_SEED = 2**32 - 1
 
+# Largest event total of a campaign or a delay scan: numpy's Poisson draw
+# refuses means above about 9.2e18 and its multinomial needs an int64 count.
+MAX_EVENT_TOTAL = 1e18
+
 
 def _validate_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
@@ -58,9 +64,9 @@ class CampaignConfig:
     """Everything needed to reproduce one counting campaign.
 
     total is the expected number of events in fixed_time mode and the
-    exact number of events in fixed_shots mode. accidental_fraction is
-    the share of events coming from uncorrelated pairs, spread uniformly
-    over the pixels.
+    exact number of events in fixed_shots mode, at most MAX_EVENT_TOTAL.
+    accidental_fraction is the share of events coming from uncorrelated
+    pairs, spread uniformly over the pixels.
     """
 
     mask: ObjectMask
@@ -77,9 +83,11 @@ class CampaignConfig:
             raise ValueError(f"family must be a Projection member, got {self.family!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not 0 < self.total <= MAX_EVENT_TOTAL:
+            raise ValueError(
+                f"total must be positive and at most {MAX_EVENT_TOTAL:g}, got {self.total!r}"
+            )
         total = float(self.total)
-        if not np.isfinite(total) or total <= 0:
-            raise ValueError(f"total must be a positive number, got {self.total!r}")
         if self.mode == "fixed_shots" and total != int(total):
             raise ValueError(f"fixed_shots mode needs a whole number of events, got {total}")
         fraction = float(self.accidental_fraction)
@@ -118,11 +126,7 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
     seed, so the counts never depend on evaluation order or worker
     count. fixed_shots mode splits an exact event total multinomially.
     """
-    if config.mask.is_degenerate:
-        raise DegenerateMaskError(
-            f"mask budget {config.mask.budget} of {config.mask.d} pixels "
-            "leaves no contrast to measure"
-        )
+    _require_contrast(config.mask.d, config.mask.budget)
     means, accidental = _expected_counts(config)
     d = config.mask.d
     if config.mode == "fixed_time":
@@ -200,10 +204,7 @@ def bootstrap_contrast_sigma(
     values = _as_count_values(counts)
     if values.size != mask.d:
         raise ValueError(f"counts have {values.size} pixels but mask has {mask.d}")
-    if mask.is_degenerate:
-        raise DegenerateMaskError(
-            f"mask budget {mask.budget} of {mask.d} pixels leaves no contrast to measure"
-        )
+    _require_contrast(mask.d, mask.budget)
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
     rng = np.random.default_rng(np.random.SeedSequence(_validate_seed(seed)))
@@ -241,36 +242,61 @@ def subtract_accidentals(
 # two-photon interference scan
 # ---------------------------------------------------------------------------
 
-def _validate_pattern(pattern: ObjectMask, name: str) -> ObjectMask:
-    if not isinstance(pattern, ObjectMask):
-        raise ValueError(f"{name} must be an ObjectMask, got {pattern!r}")
-    if pattern.budget == 0:
-        raise ValueError(f"{name} transmits nothing; at least one pixel must be on")
-    return pattern
+def _validate_patterns(pattern_a: ObjectMask, pattern_d: ObjectMask) -> None:
+    for name, pattern in (("pattern_a", pattern_a), ("pattern_d", pattern_d)):
+        if not isinstance(pattern, ObjectMask):
+            raise ValueError(f"{name} must be an ObjectMask, got {pattern!r}")
+        if pattern.budget == 0:
+            raise ValueError(f"{name} transmits nothing; at least one pixel must be on")
+    if pattern_a.d != pattern_d.d:
+        raise ValueError(f"pattern dimensions differ: {pattern_a.d} vs {pattern_d.d}")
 
 
 def antisymmetric_weight(pattern_a: ObjectMask, pattern_d: ObjectMask) -> float:
     """Anti-symmetric fraction of the inner pair heralded by two patterns.
 
     The outer detections behind pattern_a and pattern_d leave photons B
-    and C in a mixture of pixel states |i, j> weighted by the transmitted
-    pixels; the weight is that mixture's overlap with the anti-symmetric
-    projectors. Identical patterns give 0, disjoint ones 1/2.
+    and C in a uniform mixture of pixel states |i, j> over the transmitted
+    pixels A and D. Each |i, j> with i != j has overlap 1/2 with the
+    anti-symmetric projectors and |i, i> has none, so the weight is
+    (1 - |A & D| / (|A| |D|)) / 2. Identical single-pixel patterns give 0,
+    disjoint ones 1/2.
     """
-    pattern_a = _validate_pattern(pattern_a, "pattern_a")
-    pattern_d = _validate_pattern(pattern_d, "pattern_d")
-    if pattern_a.d != pattern_d.d:
-        raise ValueError(
-            f"pattern dimensions differ: {pattern_a.d} vs {pattern_d.d}"
-        )
-    d = pattern_a.d
-    overlap = np.zeros((d, d))
-    for projector in enumerate_projectors(d, (Projection.ANTI_SYMMETRIC,)):
-        overlap += np.abs(projector.state_vector()) ** 2
-    weights = np.outer(pattern_a.as_array(), pattern_d.as_array()) / (
-        pattern_a.budget * pattern_d.budget
-    )
-    return float(np.sum(weights * overlap))
+    _validate_patterns(pattern_a, pattern_d)
+    shared = int(np.dot(pattern_a.as_array(), pattern_d.as_array()))
+    return (1.0 - shared / (pattern_a.budget * pattern_d.budget)) / 2.0
+
+
+def _scan_inputs(
+    pattern_a: ObjectMask,
+    pattern_d: ObjectMask,
+    delays: np.ndarray,
+    dip_width: float,
+    shots_per_delay: int | None,
+    seed: int,
+) -> tuple[np.ndarray, float, int | None, int]:
+    """Checked delays, dip width, shots and seed of a delay scan.
+
+    hom_scan and the delay scan job loader both run these checks. The seed
+    is checked even when nothing is sampled.
+    """
+    _validate_patterns(pattern_a, pattern_d)
+    delays = np.array(delays, dtype=float)
+    if delays.ndim != 1 or delays.size == 0:
+        raise ValueError(f"delays must be a non-empty 1-D vector, got shape {delays.shape}")
+    if not np.all(np.isfinite(delays)):
+        raise ValueError("delays must be finite")
+    dip_width = float(dip_width)
+    if not np.isfinite(dip_width) or dip_width <= 0:
+        raise ValueError(f"dip_width must be positive, got {dip_width}")
+    if shots_per_delay is not None:
+        shots_per_delay = int(shots_per_delay)
+        if not 0 < shots_per_delay <= MAX_EVENT_TOTAL:
+            raise ValueError(
+                f"shots_per_delay must be positive and at most {MAX_EVENT_TOTAL:g}, "
+                f"got {shots_per_delay}"
+            )
+    return delays, dip_width, shots_per_delay, _validate_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -303,27 +329,17 @@ def hom_scan(
     count with expectation shots_per_delay * rate, drawn from per-delay
     substreams of the seed.
     """
-    pattern_a = _validate_pattern(pattern_a, "pattern_a")
-    pattern_d = _validate_pattern(pattern_d, "pattern_d")
-    delays = np.asarray(delays, dtype=float).copy()
-    if delays.ndim != 1 or delays.size == 0:
-        raise ValueError(f"delays must be a non-empty 1-D vector, got shape {delays.shape}")
-    if not np.all(np.isfinite(delays)):
-        raise ValueError("delays must be finite")
-    dip_width = float(dip_width)
-    if not np.isfinite(dip_width) or dip_width <= 0:
-        raise ValueError(f"dip_width must be positive, got {dip_width}")
+    delays, dip_width, shots, seed = _scan_inputs(
+        pattern_a, pattern_d, delays, dip_width, shots_per_delay, seed
+    )
     weight = antisymmetric_weight(pattern_a, pattern_d)
     envelope = np.exp(-(delays**2) / (2.0 * dip_width**2))
     # ordered so that full indistinguishability returns the weight exactly
     # and a fully decayed envelope returns exactly 1/2
     rates = weight * envelope + (1.0 - envelope) * 0.5
     sampled: np.ndarray | None = None
-    if shots_per_delay is not None:
-        shots = int(shots_per_delay)
-        if shots <= 0:
-            raise ValueError(f"shots_per_delay must be positive, got {shots_per_delay!r}")
-        children = np.random.SeedSequence(_validate_seed(seed)).spawn(delays.size)
+    if shots is not None:
+        children = np.random.SeedSequence(seed).spawn(delays.size)
         sampled = np.array(
             [
                 np.random.default_rng(children[k]).poisson(shots * rates[k])

@@ -1,21 +1,26 @@
 """JSON job descriptions for imaging campaigns and delay scans.
 
 Both loaders reject unknown keys outright; a silently ignored typo in a
-config file costs more debugging time than a hard error. All parsing
-failures raise ConfigError, which the command line maps to exit code 2.
+config file costs more debugging time than a hard error. This module checks
+only what belongs to the JSON format: keys, JSON types, mask length against
+dimension, mask presets, the pairing of the event total with the mode, and
+the shape of a delay grid. Every range is checked by the library function
+or constructor the value is handed to. All failures raise ConfigError,
+which the command line maps to exit code 2.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ghostswap.coincidence import CampaignConfig
+from ghostswap.coincidence import CampaignConfig, _scan_inputs
 from ghostswap.errors import ConfigError
-from ghostswap.hilbert import ObjectMask, Projection
+from ghostswap.hilbert import ObjectMask, Projection, validate_dimension
 
 __all__ = [
     "ImageJob",
@@ -27,15 +32,30 @@ __all__ = [
 _MASK_PRESETS = ("half_on", "quadrant_on")
 
 
-def _load_object(path: str | Path) -> dict:
+@contextmanager
+def _library_checks(where: str | None = None):
+    """Report a ValueError the library raises on job input as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as error:
+        raise ConfigError(f"{where}: {error}" if where else str(error)) from error
+
+
+def _read_json(path: str | Path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigError(f"cannot read {path}: {error}") from error
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
+        return json.loads(text)
+    except ValueError as error:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"{path} is not valid JSON: {error}") from error
+
+
+def _load_object(path: str | Path) -> dict:
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path} must contain a JSON object at the top level")
     return payload
@@ -80,44 +100,19 @@ def _require(payload: dict, key: str) -> object:
     return payload[key]
 
 
-def _parse_dimension(payload: dict) -> int:
-    d = _require(payload, "dimension")
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ConfigError(f"dimension must be an integer, got {d!r}")
-    if d < 2:
-        raise ConfigError(f"dimension must be at least 2, got {d}")
-    return d
-
-
-def _parse_mask(spec: object, d: int, key: str) -> tuple[ObjectMask, str | None]:
-    """Mask from an explicit 0/1 list or a named preset."""
-    if isinstance(spec, str):
-        if spec not in _MASK_PRESETS:
-            raise ConfigError(
-                f"{key} preset must be one of {_MASK_PRESETS}, got {spec!r}"
-            )
-        try:
-            preset = getattr(ObjectMask, spec)(d)
-        except ValueError as error:
-            raise ConfigError(f"{key}: {error}") from error
-        return preset, spec
-    if isinstance(spec, list):
+def _parse_mask(spec: object, d: object, key: str) -> tuple[ObjectMask, str | None]:
+    """Mask from an explicit 0/1 list or a named preset, and the preset name."""
+    with _library_checks(key):
+        d = validate_dimension(d)
+        if isinstance(spec, str):
+            if spec not in _MASK_PRESETS:
+                raise ConfigError(f"{key} preset must be one of {_MASK_PRESETS}, got {spec!r}")
+            return getattr(ObjectMask, spec)(d), spec
+        if not isinstance(spec, list):
+            raise ConfigError(f"{key} must be a 0/1 list or a preset name, got {spec!r}")
         if len(spec) != d:
-            raise ConfigError(
-                f"{key} has {len(spec)} entries but dimension is {d}"
-            )
-        try:
-            return ObjectMask.from_values(spec), None
-        except ValueError as error:
-            raise ConfigError(f"{key}: {error}") from error
-    raise ConfigError(f"{key} must be a 0/1 list or a preset name, got {spec!r}")
-
-
-def _parse_seed(payload: dict) -> int:
-    seed = _get_int(payload, "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return seed
+            raise ConfigError(f"{key} has {len(spec)} entries but dimension is {d}")
+        return ObjectMask(spec), None
 
 
 @dataclass(frozen=True)
@@ -132,6 +127,10 @@ class ImageJob:
     seed: int
     out_dir: str | None
     mask_preset: str | None
+
+    def __post_init__(self) -> None:
+        with _library_checks():
+            self.campaign_config()
 
     @property
     def square_layout(self) -> bool:
@@ -165,51 +164,38 @@ _IMAGE_KEYS = {
 def load_image_job(path: str | Path) -> ImageJob:
     payload = _load_object(path)
     _check_keys(payload, _IMAGE_KEYS, "imaging job")
-    d = _parse_dimension(payload)
-    mask, preset = _parse_mask(_require(payload, "mask"), d, "mask")
-
+    mask, preset = _parse_mask(
+        _require(payload, "mask"), _require(payload, "dimension"), "mask"
+    )
     family_name = _require(payload, "family")
     if not isinstance(family_name, str):
         raise ConfigError(f"family must be a string, got {family_name!r}")
-    try:
+    with _library_checks():
         family = Projection.from_name(family_name)
-    except ValueError as error:
-        raise ConfigError(str(error)) from error
 
     has_expected = "expected_total" in payload
-    has_shots = "shots" in payload
-    if has_expected == has_shots:
+    if has_expected == ("shots" in payload):
         raise ConfigError("give exactly one of expected_total or shots")
-    implied_mode = "fixed_time" if has_expected else "fixed_shots"
-    mode = _get_str(payload, "mode", implied_mode)
-    if mode not in ("fixed_time", "fixed_shots"):
-        raise ConfigError(f"mode must be fixed_time or fixed_shots, got {mode!r}")
-    if mode != implied_mode:
-        key = "expected_total" if has_expected else "shots"
-        raise ConfigError(f"mode {mode!r} does not go with {key}")
     if has_expected:
-        total = _get_number(payload, "expected_total")
+        key, implied_mode = "expected_total", "fixed_time"
+        total = _get_number(payload, key)
     else:
-        total = float(_get_int(payload, "shots"))
-    if not np.isfinite(total) or total <= 0:
-        raise ConfigError(f"event total must be positive, got {total}")
+        key, implied_mode = "shots", "fixed_shots"
+        total = float(_get_int(payload, key))
 
-    fraction = _get_number(payload, "accidental_fraction", 0.0)
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(
-            f"accidental_fraction must lie in [0, 1), got {fraction}"
-        )
-
-    return ImageJob(
+    job = ImageJob(
         mask=mask,
         family=family,
-        mode=mode,
+        mode=_get_str(payload, "mode", implied_mode),
         total=total,
-        accidental_fraction=fraction,
-        seed=_parse_seed(payload),
+        accidental_fraction=_get_number(payload, "accidental_fraction", 0.0),
+        seed=_get_int(payload, "seed", 0),
         out_dir=_get_str(payload, "out_dir"),
         mask_preset=preset,
     )
+    if job.mode != implied_mode:
+        raise ConfigError(f"mode {job.mode!r} does not go with {key}")
+    return job
 
 
 @dataclass(frozen=True)
@@ -223,6 +209,17 @@ class HomJob:
     shots_per_delay: int | None
     seed: int
     out_dir: str | None
+
+    def __post_init__(self) -> None:
+        with _library_checks():
+            _scan_inputs(
+                self.pattern_a,
+                self.pattern_d,
+                self.delays,
+                self.dip_width,
+                self.shots_per_delay,
+                self.seed,
+            )
 
 
 _HOM_KEYS = {
@@ -239,8 +236,6 @@ _HOM_KEYS = {
 
 def _parse_delays(spec: object) -> np.ndarray:
     if isinstance(spec, list):
-        if not spec:
-            raise ConfigError("delays list is empty")
         for value in spec:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"delays must be numbers, got {value!r}")
@@ -261,30 +256,19 @@ def _parse_delays(spec: object) -> np.ndarray:
 def load_hom_job(path: str | Path) -> HomJob:
     payload = _load_object(path)
     _check_keys(payload, _HOM_KEYS, "delay scan job")
-    d = _parse_dimension(payload)
+    d = _require(payload, "dimension")
     pattern_a, _ = _parse_mask(_require(payload, "pattern_a"), d, "pattern_a")
     pattern_d, _ = _parse_mask(_require(payload, "pattern_d"), d, "pattern_d")
-    for name, pattern in (("pattern_a", pattern_a), ("pattern_d", pattern_d)):
-        if pattern.budget == 0:
-            raise ConfigError(f"{name} transmits nothing; at least one pixel must be on")
-
     delays = _parse_delays(_require(payload, "delays"))
     dip_width = _get_number(payload, "dip_width")
     if dip_width is None:
         raise ConfigError("missing required key 'dip_width'")
-    if not np.isfinite(dip_width) or dip_width <= 0:
-        raise ConfigError(f"dip_width must be positive, got {dip_width}")
-
-    shots = _get_int(payload, "shots_per_delay")
-    if shots is not None and shots <= 0:
-        raise ConfigError(f"shots_per_delay must be positive, got {shots}")
-
     return HomJob(
         pattern_a=pattern_a,
         pattern_d=pattern_d,
         delays=delays,
         dip_width=dip_width,
-        shots_per_delay=shots,
-        seed=_parse_seed(payload),
+        shots_per_delay=_get_int(payload, "shots_per_delay"),
+        seed=_get_int(payload, "seed", 0),
         out_dir=_get_str(payload, "out_dir"),
     )

@@ -37,7 +37,6 @@ __all__ = [
     "build_initial_state",
     "apply_object_mask",
     "enumerate_projectors",
-    "projector_state_vector",
     "project_bc",
     "joint_probability",
 ]
@@ -123,24 +122,26 @@ class ObjectMask:
 
     Pixel k transmits when values[k] is 1 and blocks when it is 0. The
     budget is the number of transmitting pixels. A mask is degenerate for
-    contrast purposes when it leaves no bright or no dark pixels.
+    contrast purposes when it leaves no bright or no dark pixels. The values
+    are stored once, as a read-only int64 array.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_array", "_budget")
 
-    def __init__(self, values: Sequence[int]) -> None:
-        vals = tuple(int(v) for v in values)
-        if len(vals) < 2:
-            raise ValueError(f"mask needs at least 2 pixels, got {len(vals)}")
-        for k, v in enumerate(values):
-            if float(v) not in (0.0, 1.0):
-                raise ValueError(f"mask values must be 0 or 1, got {v!r} at pixel {k + 1}")
-        self._values = vals
-
-    @classmethod
-    def from_values(cls, values: Sequence[int]) -> "ObjectMask":
-        """Build a mask from any sequence of 0/1 values."""
-        return cls(values)
+    def __init__(self, values: Sequence[int] | np.ndarray) -> None:
+        array = np.asarray(values)
+        if array.ndim != 1 or array.size < 2:
+            raise ValueError(f"mask must be a 1-D sequence of at least 2 pixels, got shape {array.shape}")
+        if array.dtype.kind not in "iuf":
+            raise ValueError(f"mask values must be numbers, got dtype {array.dtype}")
+        bad = np.flatnonzero((array != 0) & (array != 1))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"mask values must be 0 or 1, got {array[k].item()!r} at pixel {k + 1}")
+        array = array.astype(np.int64)
+        array.setflags(write=False)
+        self._array = array
+        self._budget = int(array.sum())
 
     @classmethod
     def half_on(cls, d: int) -> "ObjectMask":
@@ -162,42 +163,43 @@ class ObjectMask:
         if s * s != d:
             raise ValueError(f"quadrant_on needs a square dimension, got {d}")
         half = max(s // 2, 1)
-        values = [1 if (k // s) < half and (k % s) < half else 0 for k in range(d)]
-        return cls(values)
+        k = np.arange(d)
+        return cls(((k // s < half) & (k % s < half)).astype(np.int64))
 
     @property
     def values(self) -> tuple[int, ...]:
-        return self._values
+        return tuple(self._array.tolist())
 
     @property
     def d(self) -> int:
-        return len(self._values)
+        return self._array.size
 
     @property
     def budget(self) -> int:
         """Number of transmitting pixels."""
-        return sum(self._values)
+        return self._budget
 
     @property
     def is_degenerate(self) -> bool:
         """True when every pixel transmits or none does."""
-        return self.budget in (0, self.d)
+        return self._budget in (0, self.d)
 
     def as_array(self) -> np.ndarray:
-        return np.array(self._values, dtype=np.int64)
+        """The read-only int64 pixel values."""
+        return self._array
 
     def bright_indices(self) -> np.ndarray:
         """0-based indices of transmitting pixels."""
-        return np.flatnonzero(self.as_array())
+        return np.flatnonzero(self._array)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ObjectMask) and self._values == other._values
+        return isinstance(other, ObjectMask) and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
-        return f"ObjectMask({list(self._values)})"
+        return f"ObjectMask({self._array.tolist()})"
 
 
 class BellProjector:
@@ -447,11 +449,6 @@ def enumerate_projectors(
                 for m in range(n + 1, d + 1)
             )
     return tuple(out)
-
-
-def projector_state_vector(projector: BellProjector) -> np.ndarray:
-    """Complex (d, d) amplitude matrix of a projector over the (b, c) basis."""
-    return projector.state_vector()
 
 
 def project_bc(state: FourPhotonState, projector: BellProjector) -> TwoPhotonState:

@@ -16,4 +16,4 @@ def random_mask(rng: np.random.Generator, d: int, *, contrastable: bool = True) 
     on = rng.choice(d, size=budget, replace=False)
     values = np.zeros(d, dtype=int)
     values[on] = 1
-    return ObjectMask.from_values(values)
+    return ObjectMask(values)

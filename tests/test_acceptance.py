@@ -96,7 +96,7 @@ def _exact_poisson_contrast_sd(bright: float, dark: float) -> float:
 
 def test_02_two_pixel_estimate_with_uncertainty():
     counts = np.array([45, 175])
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     start = time.perf_counter()
     estimate = estimate_contrast(counts, mask)
     resampled = bootstrap_contrast_sigma(counts, mask, resamples=10_000, seed=2)
@@ -125,7 +125,7 @@ def test_02_two_pixel_estimate_with_uncertainty():
 
 def test_03_four_pixel_estimate_bracket():
     counts = np.array([168, 191, 98, 227])
-    mask = ObjectMask.from_values([0, 0, 1, 0])
+    mask = ObjectMask([0, 0, 1, 0])
     value = estimate_contrast(counts, mask).value
     ok = -0.34 <= value <= -0.04
     _report(3, "four-pixel estimate bracket", ok, f"value={value:.6f}")
@@ -210,7 +210,7 @@ def test_07_conditional_densities_sum_to_identity():
 
 
 def test_08_campaign_mean_contrast():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     start = time.perf_counter()
     values = np.empty(10_000)
     for seed in range(values.size):
@@ -235,11 +235,11 @@ def test_08_campaign_mean_contrast():
 
 
 def test_09_interference_dip_endpoints():
-    pattern = ObjectMask.from_values([1, 0])
+    pattern = ObjectMask([1, 0])
     same = hom_scan(pattern, pattern, np.array([0.0, 60.0]), dip_width=1.0)
     opposite = hom_scan(
         pattern,
-        ObjectMask.from_values([0, 1]),
+        ObjectMask([0, 1]),
         np.linspace(-5.0, 5.0, 101),
         dip_width=1.0,
     )

@@ -97,7 +97,7 @@ def test_add_images_exact_path():
 # ---------------------------------------------------------------------------
 
 def test_analytic_image_d4_single_bright_pixel():
-    mask = ObjectMask.from_values([1, 0, 0, 0])
+    mask = ObjectMask([1, 0, 0, 0])
     # frozen from the full contraction: 2 d^2 = 32
     as_img = analytic_image(mask, Projection.ANTI_SYMMETRIC)
     assert np.array_equal(as_img.pixels, np.array([0, 1, 1, 1]) / 32)
@@ -109,7 +109,7 @@ def test_analytic_image_d4_single_bright_pixel():
 
 def test_analytic_image_inversion_pattern():
     # the anti-symmetric image is dark exactly where the object transmits
-    mask = ObjectMask.from_values([1, 0, 1, 0, 0])
+    mask = ObjectMask([1, 0, 1, 0, 0])
     as_img = analytic_image(mask, Projection.ANTI_SYMMETRIC).pixels
     s_img = analytic_image(mask, Projection.SYMMETRIC).pixels
     bright = mask.as_array() == 1
@@ -118,7 +118,7 @@ def test_analytic_image_inversion_pattern():
 
 
 def test_analytic_image_reference_values_d100():
-    mask = ObjectMask.from_values([1] * 20 + [0] * 80)
+    mask = ObjectMask([1] * 20 + [0] * 80)
     img = analytic_image(mask, Projection.ANTI_SYMMETRIC).pixels
     # frozen: (20 - 1) / 20000 and 20 / 20000
     assert img[0] == 9.5e-4
@@ -144,7 +144,7 @@ def test_analytic_image_matches_oracle_on_random_masks():
 
 
 def test_analytic_image_totals():
-    mask = ObjectMask.from_values([1, 1, 0, 0, 0, 0])
+    mask = ObjectMask([1, 1, 0, 0, 0, 0])
     d, budget = 6, 2
     as_total = analytic_image(mask, Projection.ANTI_SYMMETRIC).total
     s_total = analytic_image(mask, Projection.SYMMETRIC).total
@@ -159,7 +159,7 @@ def test_family_identities_are_exact():
         values = np.zeros(d, dtype=int)
         budget = int(rng.integers(1, d))
         values[rng.choice(d, size=budget, replace=False)] = 1
-        mask = ObjectMask.from_values(values)
+        mask = ObjectMask(values)
         psi_minus = analytic_image(mask, Projection.PSI_MINUS)
         psi_plus = analytic_image(mask, Projection.PSI_PLUS)
         phi = analytic_image(mask, Projection.PHI)
@@ -210,7 +210,7 @@ def test_projection_probability_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 def test_conditional_density_d2_reference():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     rho_as = conditional_density(mask, Projection.ANTI_SYMMETRIC)
     rho_s = conditional_density(mask, Projection.SYMMETRIC)
     # frozen from explicit outer products
@@ -250,8 +250,15 @@ def test_density_sum_identity():
             assert np.allclose(rho_as.entries + rho_s.entries, expected, atol=1e-12)
 
 
+def test_conditional_density_keeps_the_dense_cap():
+    # the result is a dense d x d matrix, so the dense-tensor limit still holds
+    conditional_density(ObjectMask.half_on(16), Projection.ANTI_SYMMETRIC)
+    with pytest.raises(ValueError):
+        conditional_density(ObjectMask.half_on(17), Projection.ANTI_SYMMETRIC)
+
+
 def test_conditional_density_zero_mask_is_zero():
-    mask = ObjectMask.from_values([0, 0, 0])
+    mask = ObjectMask([0, 0, 0])
     rho = conditional_density(mask, Projection.SYMMETRIC)
     assert np.all(rho.entries == 0)
     assert rho.trace == 0.0
@@ -310,7 +317,7 @@ def test_contrast_closure_property(d, data):
     budget = data.draw(st.integers(1, d - 1))
     on = data.draw(st.permutations(range(d)))[:budget]
     values = [1 if k in on else 0 for k in range(d)]
-    mask = ObjectMask.from_values(values)
+    mask = ObjectMask(values)
     image = analytic_image(mask, Projection.ANTI_SYMMETRIC)
     assert contrast_of_image(image, mask).value == pytest.approx(
         -1.0 / (budget * (d - 1)), abs=1e-12
@@ -319,7 +326,7 @@ def test_contrast_closure_property(d, data):
 
 def test_contrast_of_image_on_counts():
     counts = Image(np.array([45, 175]), kind="counts")
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     result = contrast_of_image(counts, mask)
     # frozen: (45 - 175) / 220
     assert result.value == -130.0 / 220.0
@@ -327,17 +334,17 @@ def test_contrast_of_image_on_counts():
 
 
 def test_contrast_of_image_accepts_plain_arrays():
-    mask = ObjectMask.from_values([0, 0, 1, 0])
+    mask = ObjectMask([0, 0, 1, 0])
     value = contrast_of_image(np.array([168.0, 191.0, 98.0, 227.0]), mask).value
     # frozen: (98 - 586/3) / 684
     assert value == pytest.approx((98 - 586 / 3) / 684, abs=1e-15)
 
 
 def test_contrast_of_image_errors():
-    mask = ObjectMask.from_values([1, 1])
+    mask = ObjectMask([1, 1])
     with pytest.raises(DegenerateMaskError):
         contrast_of_image(Image(np.array([1.0, 2.0]), kind="counts"), mask)
-    good_mask = ObjectMask.from_values([1, 0])
+    good_mask = ObjectMask([1, 0])
     with pytest.raises(ValueError):
         contrast_of_image(Image(np.array([0.0, 0.0]), kind="counts"), good_mask)
     with pytest.raises(ValueError):

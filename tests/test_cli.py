@@ -57,7 +57,7 @@ def test_image_contrast_survives_csv_round_trip(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     records = read_image_records(out / "image_records.csv")
-    mask = ObjectMask.from_values(IMAGE_JOB["mask"])
+    mask = ObjectMask(IMAGE_JOB["mask"])
     redone = estimate_contrast(records["sampled_count"], mask)
     assert redone.value == summary["contrast"]["raw"]["value"]
     assert redone.sigma == summary["contrast"]["raw"]["sigma"]
@@ -135,6 +135,48 @@ def test_image_config_errors_exit_2(tmp_path):
     assert cli.main(["image", str(missing)]) == 2
     code, _ = run_image(tmp_path, IMAGE_JOB, extra=("--seed", "-4"))
     assert code == 2
+
+
+HOM_JOB = {
+    "dimension": 2,
+    "pattern_a": [1, 0],
+    "pattern_d": [0, 1],
+    "delays": [-1.0, 0.0, 1.0],
+    "dip_width": 0.5,
+}
+SHOTS_JOB = {
+    **{key: value for key, value in IMAGE_JOB.items() if key != "expected_total"},
+    "shots": 10**30,
+}
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra",
+    [
+        pytest.param("image", {**IMAGE_JOB, "seed": 5_000_000_000}, (), id="image-job-seed"),
+        pytest.param("image", IMAGE_JOB, ("--seed", "5000000000"), id="image-flag-seed"),
+        pytest.param("image", {**IMAGE_JOB, "expected_total": 1e30}, (), id="expected-total"),
+        pytest.param("image", SHOTS_JOB, (), id="shots"),
+        pytest.param("image", {**IMAGE_JOB, "mask": ["1", 0, 0, 0]}, (), id="string-mask"),
+        pytest.param("hom", {**HOM_JOB, "delays": [float("nan"), 0.0]}, (), id="nan-delay"),
+        pytest.param(
+            "hom", {**HOM_JOB, "seed": 5_000_000_000, "shots_per_delay": 100}, (), id="hom-job-seed"
+        ),
+        pytest.param("hom", {**HOM_JOB, "shots_per_delay": 100}, ("--seed", "-4"), id="hom-flag-seed"),
+        pytest.param(
+            "hom", {**HOM_JOB, "shots_per_delay": 100}, ("--seed", "5000000000"), id="hom-flag-big-seed"
+        ),
+    ],
+)
+def test_input_boundary_exits_2(tmp_path, capsys, command, payload, extra):
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    code = cli.main([command, str(config), "--out-dir", str(out), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghostctl: configuration error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
 
 
 def test_figure2_outputs_and_identities(tmp_path):

@@ -24,7 +24,7 @@ from ghostswap.coincidence import (
     subtract_accidentals,
 )
 from ghostswap.errors import DegenerateMaskError
-from ghostswap.hilbert import ObjectMask, Projection
+from ghostswap.hilbert import ObjectMask, Projection, enumerate_projectors
 
 
 def in_test_bootstrap_sigma(counts, mask, resamples, seed):
@@ -46,7 +46,7 @@ def in_test_bootstrap_sigma(counts, mask, resamples, seed):
 # ---------------------------------------------------------------------------
 
 def test_campaign_config_validation():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     good = CampaignConfig(mask=mask, family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=220)
     assert good.seed == 0
     with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ def test_campaign_config_validation():
 def test_sample_campaign_dark_pixel_rates():
     # frozen: for d=4, budget 1, anti-symmetric family the bright pixel has
     # zero expected signal and each dark pixel expects 684/3 = 228 counts
-    mask = ObjectMask.from_values([1, 0, 0, 0])
+    mask = ObjectMask([1, 0, 0, 0])
     totals = np.zeros(4)
     n_seeds = 400
     for seed in range(n_seeds):
@@ -85,7 +85,7 @@ def test_sample_campaign_dark_pixel_rates():
 
 
 def test_sample_campaign_is_deterministic():
-    mask = ObjectMask.from_values([1, 1, 0, 0])
+    mask = ObjectMask([1, 1, 0, 0])
     config = CampaignConfig(
         mask=mask, family=Projection.SYMMETRIC, mode="fixed_time", total=5000,
         accidental_fraction=0.2, seed=42,
@@ -110,13 +110,13 @@ def test_sample_campaign_per_pixel_substreams():
     # parallel evaluation order-independent
     base = sample_campaign(
         CampaignConfig(
-            mask=ObjectMask.from_values([1, 0, 0, 0]),
+            mask=ObjectMask([1, 0, 0, 0]),
             family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=900, seed=11,
         )
     )
     moved = sample_campaign(
         CampaignConfig(
-            mask=ObjectMask.from_values([0, 1, 0, 0]),
+            mask=ObjectMask([0, 1, 0, 0]),
             family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=900, seed=11,
         )
     )
@@ -126,7 +126,7 @@ def test_sample_campaign_per_pixel_substreams():
 
 
 def test_sample_campaign_fixed_shots_mode():
-    mask = ObjectMask.from_values([1, 0, 0, 0])
+    mask = ObjectMask([1, 0, 0, 0])
     config = CampaignConfig(
         mask=mask, family=Projection.ANTI_SYMMETRIC, mode="fixed_shots", total=684, seed=3
     )
@@ -137,7 +137,7 @@ def test_sample_campaign_fixed_shots_mode():
 
 
 def test_sample_campaign_accidental_estimate():
-    mask = ObjectMask.from_values([1, 1, 0, 0])
+    mask = ObjectMask([1, 1, 0, 0])
     config = CampaignConfig(
         mask=mask, family=Projection.SYMMETRIC, mode="fixed_time", total=1000,
         accidental_fraction=0.2, seed=1,
@@ -152,7 +152,7 @@ def test_sample_campaign_accidental_estimate():
 def test_sample_campaign_rejects_degenerate_masks():
     for values in ([1, 1, 1, 1], [0, 0, 0, 0]):
         config = CampaignConfig(
-            mask=ObjectMask.from_values(values), family=Projection.SYMMETRIC,
+            mask=ObjectMask(values), family=Projection.SYMMETRIC,
             mode="fixed_time", total=100,
         )
         with pytest.raises(DegenerateMaskError):
@@ -165,19 +165,19 @@ def test_campaign_contrast_is_exact_when_bright_counts_vanish():
     # within rounding of the dark-pixel mean at d=4
     for seed in range(50):
         two = CampaignConfig(
-            mask=ObjectMask.from_values([1, 0]),
+            mask=ObjectMask([1, 0]),
             family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=220, seed=seed,
         )
         assert sample_campaign(two).raw_contrast.value == -1.0
         four = CampaignConfig(
-            mask=ObjectMask.from_values([1, 0, 0, 0]),
+            mask=ObjectMask([1, 0, 0, 0]),
             family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=220, seed=seed,
         )
         assert sample_campaign(four).raw_contrast.value == pytest.approx(-1.0 / 3.0, abs=5e-16)
 
 
 def test_campaign_convergence_to_analytic_contrast():
-    mask = ObjectMask.from_values([1, 1, 0, 0])
+    mask = ObjectMask([1, 1, 0, 0])
     predicted = analytic_contrast(4, 2, Projection.SYMMETRIC).value
     values = []
     for seed in range(300):
@@ -191,7 +191,7 @@ def test_campaign_convergence_to_analytic_contrast():
 
 
 def test_accidental_subtraction_neutrality():
-    mask = ObjectMask.from_values([1, 1, 0, 0])
+    mask = ObjectMask([1, 1, 0, 0])
     corrected, clean = [], []
     for seed in range(300):
         noisy = CampaignConfig(
@@ -218,7 +218,7 @@ def test_accidental_subtraction_neutrality():
 # ---------------------------------------------------------------------------
 
 def test_estimate_contrast_reference_counts():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     result = estimate_contrast(np.array([45, 175]), mask)
     # frozen: (45 - 175) / 220
     assert result.value == -130.0 / 220.0
@@ -227,13 +227,13 @@ def test_estimate_contrast_reference_counts():
 
 
 def test_estimate_contrast_accepts_counts_images():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     image = Image(np.array([45, 175]), kind="counts")
     assert estimate_contrast(image, mask).value == -130.0 / 220.0
 
 
 def test_estimate_contrast_rejects_bad_counts():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     with pytest.raises(ValueError):
         estimate_contrast(np.array([45.5, 175.0]), mask)
     with pytest.raises(ValueError):
@@ -241,14 +241,14 @@ def test_estimate_contrast_rejects_bad_counts():
     with pytest.raises(ValueError):
         estimate_contrast(np.array([0, 0]), mask)
     with pytest.raises(DegenerateMaskError):
-        estimate_contrast(np.array([3, 4]), ObjectMask.from_values([1, 1]))
+        estimate_contrast(np.array([3, 4]), ObjectMask([1, 1]))
 
 
 def test_propagated_sigma_agrees_with_bootstrap():
     cases = [
-        (np.array([45, 175]), ObjectMask.from_values([1, 0])),
-        (np.array([168, 191, 98, 227]), ObjectMask.from_values([0, 0, 1, 0])),
-        (np.array([40, 60, 55, 38, 120, 90]), ObjectMask.from_values([1, 0, 1, 0, 0, 1])),
+        (np.array([45, 175]), ObjectMask([1, 0])),
+        (np.array([168, 191, 98, 227]), ObjectMask([0, 0, 1, 0])),
+        (np.array([40, 60, 55, 38, 120, 90]), ObjectMask([1, 0, 1, 0, 0, 1])),
     ]
     for counts, mask in cases:
         propagated = estimate_contrast(counts, mask).sigma
@@ -258,7 +258,7 @@ def test_propagated_sigma_agrees_with_bootstrap():
 
 def test_bootstrap_matches_independent_implementation():
     counts = np.array([45, 175])
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     library = bootstrap_contrast_sigma(counts, mask, resamples=4000, seed=5)
     reference = in_test_bootstrap_sigma(counts, mask, resamples=4000, seed=60)
     assert library == pytest.approx(reference, rel=0.1)
@@ -266,14 +266,14 @@ def test_bootstrap_matches_independent_implementation():
 
 def test_bootstrap_is_deterministic():
     counts = np.array([45, 175])
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     a = bootstrap_contrast_sigma(counts, mask, resamples=500, seed=9)
     b = bootstrap_contrast_sigma(counts, mask, resamples=500, seed=9)
     assert a == b
 
 
 def test_sigma_vanishes_when_bright_counts_vanish():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     result = estimate_contrast(np.array([0, 220]), mask)
     assert result.value == -1.0
     assert result.sigma == 0.0
@@ -284,7 +284,7 @@ def test_sigma_vanishes_when_bright_counts_vanish():
 # ---------------------------------------------------------------------------
 
 def test_subtract_accidentals_reference():
-    mask = ObjectMask.from_values([1, 0])
+    mask = ObjectMask([1, 0])
     corrected = subtract_accidentals(np.array([45, 175]), np.array([10.0, 10.0]))
     assert np.array_equal(corrected.pixels, np.array([35.0, 165.0]))
     # frozen: (35 - 165) / 200
@@ -308,19 +308,37 @@ def test_subtract_accidentals_rejects_negative_estimate():
 # ---------------------------------------------------------------------------
 
 def test_antisymmetric_weight_reference_values():
-    same = antisymmetric_weight(ObjectMask.from_values([1, 0]), ObjectMask.from_values([1, 0]))
+    same = antisymmetric_weight(ObjectMask([1, 0]), ObjectMask([1, 0]))
     assert same == 0.0
-    opposite = antisymmetric_weight(ObjectMask.from_values([1, 0]), ObjectMask.from_values([0, 1]))
+    opposite = antisymmetric_weight(ObjectMask([1, 0]), ObjectMask([0, 1]))
     assert opposite == pytest.approx(0.5, abs=1e-15)
     partial = antisymmetric_weight(
-        ObjectMask.from_values([1, 1, 0, 0]), ObjectMask.from_values([0, 1, 1, 0])
+        ObjectMask([1, 1, 0, 0]), ObjectMask([0, 1, 1, 0])
     )
     # closed form (1 - overlap) / 2 with overlap 1/4
     assert partial == pytest.approx(0.375, abs=1e-15)
 
 
+def test_antisymmetric_weight_matches_dense_oracle():
+    # dense reference: the heralded pair is the uniform mixture of |i, j>
+    # over the transmitted pixels, weighed against every anti-symmetric
+    # projector of the full basis
+    rng = np.random.default_rng(4711)
+    for d in range(2, 9):
+        overlap = np.zeros((d, d))
+        for projector in enumerate_projectors(d, Projection.ANTI_SYMMETRIC):
+            overlap += np.abs(projector.state_vector()) ** 2
+        for _ in range(8):
+            a, b = rng.integers(0, 2, size=(2, d))
+            a[rng.integers(d)] = 1
+            b[rng.integers(d)] = 1
+            expected = float(np.sum(np.outer(a, b) * overlap)) / (a.sum() * b.sum())
+            got = antisymmetric_weight(ObjectMask(a), ObjectMask(b))
+            assert abs(got - expected) <= 1e-12
+
+
 def test_hom_scan_same_pattern_dip():
-    pattern = ObjectMask.from_values([1, 0])
+    pattern = ObjectMask([1, 0])
     delays = np.array([-50.0, -2.0, -1.0, 0.0, 1.0, 2.0, 50.0])
     scan = hom_scan(pattern, pattern, delays, dip_width=1.0)
     assert scan.rates[3] == 0.0
@@ -334,8 +352,8 @@ def test_hom_scan_same_pattern_dip():
 
 def test_hom_scan_opposite_pattern_flat():
     scan = hom_scan(
-        ObjectMask.from_values([1, 0]),
-        ObjectMask.from_values([0, 1]),
+        ObjectMask([1, 0]),
+        ObjectMask([0, 1]),
         np.linspace(-3, 3, 41),
         dip_width=1.0,
     )
@@ -344,13 +362,13 @@ def test_hom_scan_opposite_pattern_flat():
 
 def test_hom_scan_halfway_rate_value():
     # frozen: gamma(1) = exp(-1/2), same-pattern rate (1 - gamma)/2
-    pattern = ObjectMask.from_values([1, 0])
+    pattern = ObjectMask([1, 0])
     scan = hom_scan(pattern, pattern, np.array([1.0]), dip_width=1.0)
     assert scan.rates[0] == pytest.approx((1 - np.exp(-0.5)) / 2, abs=1e-15)
 
 
 def test_hom_scan_sampling_is_deterministic():
-    pattern = ObjectMask.from_values([1, 0])
+    pattern = ObjectMask([1, 0])
     delays = np.linspace(-2, 2, 21)
     a = hom_scan(pattern, pattern, delays, dip_width=1.0, shots_per_delay=1000, seed=13)
     b = hom_scan(pattern, pattern, delays, dip_width=1.0, shots_per_delay=1000, seed=13)
@@ -360,22 +378,22 @@ def test_hom_scan_sampling_is_deterministic():
 
 
 def test_hom_scan_validation():
-    pattern = ObjectMask.from_values([1, 0])
+    pattern = ObjectMask([1, 0])
     with pytest.raises(ValueError):
         hom_scan(pattern, pattern, np.array([]), dip_width=1.0)
     with pytest.raises(ValueError):
         hom_scan(pattern, pattern, np.array([0.0]), dip_width=0.0)
     with pytest.raises(ValueError):
-        hom_scan(pattern, ObjectMask.from_values([1, 0, 0]), np.array([0.0]), dip_width=1.0)
+        hom_scan(pattern, ObjectMask([1, 0, 0]), np.array([0.0]), dip_width=1.0)
     with pytest.raises(ValueError):
-        hom_scan(ObjectMask.from_values([0, 0]), pattern, np.array([0.0]), dip_width=1.0)
+        hom_scan(ObjectMask([0, 0]), pattern, np.array([0.0]), dip_width=1.0)
 
 
 def test_all_on_patterns_are_allowed_in_hom_scan():
     # a full-transmission pattern heralds everywhere; only empty patterns fail
     scan = hom_scan(
-        ObjectMask.from_values([1, 1]),
-        ObjectMask.from_values([1, 1]),
+        ObjectMask([1, 1]),
+        ObjectMask([1, 1]),
         np.array([0.0]),
         dip_width=1.0,
     )

@@ -152,6 +152,16 @@ def test_malformed_file_is_a_config_error(tmp_path):
         load_image_job(tmp_path / "missing.json")
 
 
+def test_undecodable_file_is_a_config_error(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"seed": 1' + "0" * 5000 + "}")
+    for path in (binary, huge):
+        with pytest.raises(ConfigError):
+            load_image_job(path)
+
+
 BASE_HOM_JOB = {
     "dimension": 2,
     "pattern_a": [1, 0],

@@ -24,7 +24,6 @@ from ghostswap.hilbert import (
     enumerate_projectors,
     joint_probability,
     project_bc,
-    projector_state_vector,
 )
 
 from conftest import random_mask
@@ -65,7 +64,7 @@ def naive_weight(amp: np.ndarray, pi: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def test_mask_values_and_budget():
-    mask = ObjectMask.from_values([1, 0, 1, 0])
+    mask = ObjectMask([1, 0, 1, 0])
     assert mask.d == 4
     assert mask.budget == 2
     assert not mask.is_degenerate
@@ -73,20 +72,40 @@ def test_mask_values_and_budget():
 
 def test_mask_rejects_non_binary_values():
     with pytest.raises(ValueError):
-        ObjectMask.from_values([1, 2])
+        ObjectMask([1, 2])
     with pytest.raises(ValueError):
-        ObjectMask.from_values([0.5, 0.5])
+        ObjectMask([0.5, 0.5])
 
 
 def test_mask_rejects_too_short():
     with pytest.raises(ValueError):
-        ObjectMask.from_values([1])
+        ObjectMask([1])
+
+
+def test_mask_stores_one_read_only_array():
+    mask = ObjectMask(np.array([1.0, 0.0, 1.0]))
+    array = mask.as_array()
+    assert array is mask.as_array()
+    assert array.dtype == np.int64
+    assert not array.flags.writeable
+    assert type(mask.budget) is int and mask.budget == 2
+    assert mask.values == (1, 0, 1)
+    assert all(type(v) is int for v in mask.values)
+    assert mask == ObjectMask([1, 0, 1])
+    assert hash(mask) == hash(ObjectMask([1, 0, 1]))
+    assert mask != ObjectMask([1, 0, 0])
+
+
+def test_mask_rejects_non_numeric_values():
+    for values in (["1", 0, 0, 0], [None, 0], [[1, 0], [0, 1]], [True, False]):
+        with pytest.raises(ValueError):
+            ObjectMask(values)
 
 
 def test_mask_degeneracy_flags():
-    assert ObjectMask.from_values([0, 0]).is_degenerate
-    assert ObjectMask.from_values([1, 1]).is_degenerate
-    assert not ObjectMask.from_values([1, 0]).is_degenerate
+    assert ObjectMask([0, 0]).is_degenerate
+    assert ObjectMask([1, 1]).is_degenerate
+    assert not ObjectMask([1, 0]).is_degenerate
 
 
 def test_half_on_preset():
@@ -163,7 +182,7 @@ def test_state_amplitudes_are_read_only():
 # ---------------------------------------------------------------------------
 
 def test_masked_state_d2_brute_force_norm():
-    state = apply_object_mask(build_initial_state(2), ObjectMask.from_values([1, 0]))
+    state = apply_object_mask(build_initial_state(2), ObjectMask([1, 0]))
     # frozen by brute force: only (1, 1, j, j) amplitudes survive and the
     # squared norm drops to budget/d = 1/2
     expected = naive_initial_amplitudes(2)
@@ -183,7 +202,7 @@ def test_masked_norm_equals_budget_over_d():
 
 
 def test_all_zero_mask_gives_degenerate_state():
-    state = apply_object_mask(build_initial_state(4), ObjectMask.from_values([0, 0, 0, 0]))
+    state = apply_object_mask(build_initial_state(4), ObjectMask([0, 0, 0, 0]))
     assert state.norm_sq == 0.0
     assert state.is_degenerate
     assert np.all(state.amplitudes == 0)
@@ -191,14 +210,14 @@ def test_all_zero_mask_gives_degenerate_state():
 
 def test_mask_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        apply_object_mask(build_initial_state(2), ObjectMask.from_values([1, 0, 1]))
+        apply_object_mask(build_initial_state(2), ObjectMask([1, 0, 1]))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_mask_idempotence(d, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
-    mask = ObjectMask.from_values(bits)
+    mask = ObjectMask(bits)
     once = apply_object_mask(build_initial_state(d), mask)
     twice = apply_object_mask(once, mask)
     assert np.array_equal(once.amplitudes, twice.amplitudes)
@@ -231,7 +250,7 @@ def test_aggregate_families_expand():
 
 def test_psi_minus_12_state_vector():
     p = BellProjector(Projection.PSI_MINUS, d=2, n=1, m=2)
-    vec = projector_state_vector(p)
+    vec = p.state_vector()
     r = 1 / np.sqrt(2)
     assert vec[0, 1] == r
     assert vec[1, 0] == -r
@@ -240,7 +259,7 @@ def test_psi_minus_12_state_vector():
 
 def test_phi_3_state_vector():
     p = BellProjector(Projection.PHI, d=4, n=3, m=3)
-    vec = projector_state_vector(p)
+    vec = p.state_vector()
     expected = np.zeros((4, 4), dtype=complex)
     expected[2, 2] = 1.0
     assert np.array_equal(vec, expected)
@@ -261,7 +280,7 @@ def test_orthonormal_and_complete_for_all_exact_dimensions():
     for d in range(2, MAX_EXACT_DIMENSION + 1):
         projectors = enumerate_projectors(d)
         assert len(projectors) == d * d
-        stack = np.array([projector_state_vector(p).reshape(-1) for p in projectors])
+        stack = np.array([p.state_vector().reshape(-1) for p in projectors])
         gram = stack @ stack.conj().T
         assert np.allclose(gram, np.eye(d * d), atol=1e-12)
         completeness = stack.conj().T @ stack
@@ -273,9 +292,9 @@ def test_orthonormal_and_complete_for_all_exact_dimensions():
 def test_exchange_symmetry_classes(d, data):
     n = data.draw(st.integers(1, d - 1))
     m = data.draw(st.integers(n + 1, d))
-    minus = projector_state_vector(BellProjector(Projection.PSI_MINUS, d=d, n=n, m=m))
-    plus = projector_state_vector(BellProjector(Projection.PSI_PLUS, d=d, n=n, m=m))
-    phi = projector_state_vector(BellProjector(Projection.PHI, d=d, n=n, m=n))
+    minus = BellProjector(Projection.PSI_MINUS, d=d, n=n, m=m).state_vector()
+    plus = BellProjector(Projection.PSI_PLUS, d=d, n=n, m=m).state_vector()
+    phi = BellProjector(Projection.PHI, d=d, n=n, m=n).state_vector()
     assert np.array_equal(minus.T, -minus)
     assert np.array_equal(plus.T, plus)
     assert np.array_equal(phi.T, phi)
@@ -294,7 +313,7 @@ def test_project_bc_unmasked_d2_weight():
 
 
 def test_project_bc_masked_d2_psi_minus():
-    state = apply_object_mask(build_initial_state(2), ObjectMask.from_values([1, 0]))
+    state = apply_object_mask(build_initial_state(2), ObjectMask([1, 0]))
     two = project_bc(state, BellProjector(Projection.PSI_MINUS, d=2, n=1, m=2))
     # frozen by direct contraction: only the (a=1, d=2) amplitude survives
     assert two.weight == pytest.approx(0.125, abs=1e-15)
@@ -303,7 +322,7 @@ def test_project_bc_masked_d2_psi_minus():
 
 
 def test_project_bc_masked_d2_phi_1():
-    state = apply_object_mask(build_initial_state(2), ObjectMask.from_values([1, 0]))
+    state = apply_object_mask(build_initial_state(2), ObjectMask([1, 0]))
     two = project_bc(state, BellProjector(Projection.PHI, d=2, n=1, m=1))
     # frozen by direct contraction: the conditional state is proportional
     # to |1>_A |1>_D with weight 1/4
@@ -318,7 +337,7 @@ def test_project_bc_matches_naive_oracle_on_random_masks():
     for d in (2, 3, 4, 6):
         state = apply_object_mask(build_initial_state(d), random_mask(rng, d))
         for p in enumerate_projectors(d):
-            expected = naive_project(state.amplitudes, projector_state_vector(p))
+            expected = naive_project(state.amplitudes, p.state_vector())
             got = project_bc(state, p)
             assert np.allclose(got.amplitudes, expected, atol=1e-14)
             assert got.weight == pytest.approx(float((abs(expected) ** 2).sum()), abs=1e-14)
@@ -331,7 +350,7 @@ def test_project_bc_dimension_mismatch():
 
 
 def test_joint_probability_masked_d2():
-    state = apply_object_mask(build_initial_state(2), ObjectMask.from_values([1, 0]))
+    state = apply_object_mask(build_initial_state(2), ObjectMask([1, 0]))
     # frozen by the naive oracle: the anti-symmetric family puts 1/8 at
     # (a=1, d=2) and nothing anywhere else
     assert joint_probability(state, (Projection.ANTI_SYMMETRIC,), 1, 2) == pytest.approx(0.125, abs=1e-15)
