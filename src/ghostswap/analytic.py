@@ -128,10 +128,6 @@ class Image:
         return float(self._pixels.sum())
 
     @property
-    def is_integral(self) -> bool:
-        return bool(np.issubdtype(self._pixels.dtype, np.integer))
-
-    @property
     def numerators(self) -> np.ndarray | None:
         """Exact integer numerators, or None for images without them."""
         return self._numerators
@@ -253,6 +249,18 @@ def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
     return ContrastValue(value, 0.0)
 
 
+def _contrast_rows(values: np.ndarray, bright: np.ndarray) -> np.ndarray:
+    """(mean over bright pixels - mean over dark pixels) / total, per row of values.
+
+    A zero total raises DegenerateMaskError. numpy sums a stack of rows in
+    another order than a lone row, so bit-exact 1-D results need one row a call.
+    """
+    totals = values.sum(axis=1)
+    if not (totals > 0).all():
+        raise DegenerateMaskError("image total is zero; contrast is undefined")
+    return (values[:, bright].mean(axis=1) - values[:, ~bright].mean(axis=1)) / totals
+
+
 def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
     """Contrast of per-pixel values against a mask.
 
@@ -266,9 +274,5 @@ def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastVa
     if values.size != mask.d:
         raise ValueError(f"image has {values.size} pixels but mask has {mask.d}")
     _require_contrast(mask.d, mask.budget)
-    total = float(values.sum())
-    if total <= 0.0:
-        raise ValueError("image total is zero; contrast is undefined")
-    bright = mask.as_array() == 1
-    value = (values[bright].mean() - values[~bright].mean()) / total
+    value = _contrast_rows(values[None, :], mask.as_array() == 1)[0]
     return ContrastValue(float(value), 0.0)

@@ -1,9 +1,9 @@
 """ghostctl: imaging campaigns, family panels, delay scans, contrast curves.
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a mask
-has no bright or no dark pixels so contrast is undefined, 4 when the
-closed-form family identities fail to hold (which would mean the library
-itself is inconsistent).
+Exit codes: 0 on success, 2 for configuration problems, 3 when contrast
+is undefined (no bright or no dark pixels, or counts that sum to zero), 4
+when the closed-form family identities fail to hold (which would mean the
+library itself is inconsistent).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ghostswap.analytic import (
     analytic_contrast,
     analytic_image,
 )
-from ghostswap.coincidence import hom_scan, sample_campaign, subtract_accidentals
+from ghostswap.coincidence import hom_scan, sample_campaign
 from ghostswap.configfile import _parse_mask, _read_json, load_hom_job, load_image_job
 from ghostswap.errors import ConfigError, DegenerateMaskError, ImageConsistencyError
 from ghostswap.hilbert import ObjectMask, Projection
@@ -68,7 +68,7 @@ def cmd_image(args: argparse.Namespace) -> int:
     sampled = corrected = None
     if result is not None:
         sampled = result.counts.pixels
-        corrected = subtract_accidentals(result.counts, result.accidental_estimate).pixels
+        corrected = result.corrected_counts.pixels
     write_image_records(out / "image_records.csv", analytic.pixels, sampled, corrected)
 
     scales = {"analytic": write_pgm(out / "analytic.pgm", analytic.pixels, layout)}
@@ -318,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ghostctl: configuration error: {error}", file=sys.stderr)
         return 2
     except DegenerateMaskError as error:
-        print(f"ghostctl: degenerate mask: {error}", file=sys.stderr)
+        print(f"ghostctl: undefined contrast: {error}", file=sys.stderr)
         return 3
     except ImageConsistencyError as error:
         print(f"ghostctl: internal inconsistency: {error}", file=sys.stderr)

@@ -20,9 +20,9 @@ import numpy as np
 from ghostswap.analytic import (
     ContrastValue,
     Image,
+    _contrast_rows,
     _require_contrast,
     analytic_image,
-    contrast_of_image,
 )
 from ghostswap.hilbert import ObjectMask, Projection
 
@@ -100,9 +100,10 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignResult:
-    """Sampled counts plus the contrasts estimated from them."""
+    """Sampled and accidental-corrected counts plus the contrasts estimated from them."""
 
     counts: Image
+    corrected_counts: Image
     raw_contrast: ContrastValue
     corrected_contrast: ContrastValue
     accidental_estimate: np.ndarray = field(repr=False)
@@ -119,58 +120,63 @@ def _expected_counts(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - fraction) * signal + accidental, accidental
 
 
+def _poisson_draws(seed: int, means: np.ndarray) -> np.ndarray:
+    """One Poisson draw per mean, draw k from child k of the seed, so no draw
+    depends on the other means or on evaluation order."""
+    children = np.random.SeedSequence(seed).spawn(means.size)
+    return np.array(
+        [np.random.default_rng(child).poisson(mean) for child, mean in zip(children, means)],
+        dtype=np.int64,
+    )
+
+
 def sample_campaign(config: CampaignConfig) -> CampaignResult:
     """Draw one campaign and estimate its contrasts.
 
     fixed_time mode draws each pixel from its own child stream of the
     seed, so the counts never depend on evaluation order or worker
     count. fixed_shots mode splits an exact event total multinomially.
+    Raw or corrected counts that sum to zero raise DegenerateMaskError.
     """
     _require_contrast(config.mask.d, config.mask.budget)
     means, accidental = _expected_counts(config)
-    d = config.mask.d
     if config.mode == "fixed_time":
-        children = np.random.SeedSequence(config.seed).spawn(d)
-        counts = np.array(
-            [np.random.default_rng(children[k]).poisson(means[k]) for k in range(d)],
-            dtype=np.int64,
-        )
+        counts = _poisson_draws(config.seed, means)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
         counts = rng.multinomial(int(config.total), means / means.sum()).astype(np.int64)
     counts_image = Image(counts, kind="counts", family=config.family)
-    raw = _poisson_contrast(counts.astype(float), config.mask)
     corrected_image = subtract_accidentals(counts_image, accidental)
-    corrected = _poisson_contrast(corrected_image.pixels, config.mask)
     return CampaignResult(
         counts=counts_image,
-        raw_contrast=raw,
-        corrected_contrast=corrected,
+        corrected_counts=corrected_image,
+        raw_contrast=_propagated_contrast(counts.astype(float), config.mask),
+        corrected_contrast=_propagated_contrast(corrected_image.pixels, config.mask),
         accidental_estimate=accidental,
         seed=config.seed,
     )
 
 
-def _poisson_contrast(values: np.ndarray, mask: ObjectMask) -> ContrastValue:
-    """Contrast with first-order Poisson error propagation.
+def _propagated_contrast(values: np.ndarray, mask: ObjectMask) -> ContrastValue:
+    """Contrast of one count vector with first-order Poisson error propagation.
 
     Each pixel is treated as an independent Poisson count with variance
     equal to its value; the derivative of the contrast with respect to
     pixel k is (w_k - C) / total with w_k = +1/n_bright on bright pixels
-    and -1/n_dark on dark ones.
+    and -1/n_dark on dark ones. The inputs are not checked.
     """
-    value = contrast_of_image(values, mask).value
     bright = mask.as_array() == 1
-    n_bright = int(bright.sum())
+    value = float(_contrast_rows(values[None, :], bright)[0])
+    n_bright = mask.budget
     n_dark = mask.d - n_bright
     total = float(values.sum())
     weights = np.where(bright, 1.0 / n_bright, -1.0 / n_dark)
     derivatives = (weights - value) / total
-    variance = float(np.sum(derivatives**2 * values))
+    variance = float((derivatives**2 * values).sum())
     return ContrastValue(value, float(np.sqrt(variance)))
 
 
-def _as_count_values(counts: Image | np.ndarray) -> np.ndarray:
+def _as_count_values(counts: Image | np.ndarray, mask: ObjectMask) -> np.ndarray:
     values = counts.pixels if isinstance(counts, Image) else np.asarray(counts)
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -181,12 +187,15 @@ def _as_count_values(counts: Image | np.ndarray) -> np.ndarray:
         raise ValueError("counts must be nonnegative")
     if np.any(values != np.floor(values)):
         raise ValueError("counts must be whole numbers")
+    if values.size != mask.d:
+        raise ValueError(f"counts have {values.size} pixels but mask has {mask.d}")
+    _require_contrast(mask.d, mask.budget)
     return values
 
 
 def estimate_contrast(counts: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
     """Contrast of raw detector counts with propagated Poisson sigma."""
-    return _poisson_contrast(_as_count_values(counts), mask)
+    return _propagated_contrast(_as_count_values(counts, mask), mask)
 
 
 def bootstrap_contrast_sigma(
@@ -201,21 +210,15 @@ def bootstrap_contrast_sigma(
     the spread of the recomputed contrasts. Resamples that come out all
     zero carry no contrast and are dropped.
     """
-    values = _as_count_values(counts)
-    if values.size != mask.d:
-        raise ValueError(f"counts have {values.size} pixels but mask has {mask.d}")
-    _require_contrast(mask.d, mask.budget)
+    values = _as_count_values(counts, mask)
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
     rng = np.random.default_rng(np.random.SeedSequence(_validate_seed(seed)))
     draws = rng.poisson(lam=values, size=(int(resamples), values.size)).astype(float)
-    totals = draws.sum(axis=1)
-    keep = totals > 0
-    if keep.sum() < 2:
+    draws = draws[draws.sum(axis=1) > 0]
+    if len(draws) < 2:
         raise ValueError("all resamples were empty; counts are too small to bootstrap")
-    bright = mask.as_array() == 1
-    means = draws[:, bright].mean(axis=1) - draws[:, ~bright].mean(axis=1)
-    contrasts = means[keep] / totals[keep]
+    contrasts = _contrast_rows(draws, mask.as_array() == 1)
     return float(np.std(contrasts, ddof=1))
 
 
@@ -339,14 +342,7 @@ def hom_scan(
     rates = weight * envelope + (1.0 - envelope) * 0.5
     sampled: np.ndarray | None = None
     if shots is not None:
-        children = np.random.SeedSequence(seed).spawn(delays.size)
-        sampled = np.array(
-            [
-                np.random.default_rng(children[k]).poisson(shots * rates[k])
-                for k in range(delays.size)
-            ],
-            dtype=np.int64,
-        )
+        sampled = _poisson_draws(seed, shots * rates)
         sampled.setflags(write=False)
     delays.setflags(write=False)
     rates.setflags(write=False)

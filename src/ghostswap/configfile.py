@@ -34,12 +34,12 @@ _MASK_PRESETS = ("half_on", "quadrant_on")
 
 @contextmanager
 def _library_checks(where: str | None = None):
-    """Report a ValueError the library raises on job input as a ConfigError."""
+    """Report a ValueError or OverflowError raised on job input as a ConfigError."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as error:
+    except (ValueError, OverflowError) as error:  # float() of a 310-digit integer overflows
         raise ConfigError(f"{where}: {error}" if where else str(error)) from error
 
 
@@ -82,7 +82,8 @@ def _get_number(payload: dict, key: str, default: float | None = None) -> float 
     value = payload[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    with _library_checks(key):
+        return float(value)
 
 
 def _get_str(payload: dict, key: str, default: str | None = None) -> str | None:
@@ -181,7 +182,8 @@ def load_image_job(path: str | Path) -> ImageJob:
         total = _get_number(payload, key)
     else:
         key, implied_mode = "shots", "fixed_shots"
-        total = float(_get_int(payload, key))
+        with _library_checks(key):
+            total = float(_get_int(payload, key))
 
     job = ImageJob(
         mask=mask,
@@ -239,7 +241,8 @@ def _parse_delays(spec: object) -> np.ndarray:
         for value in spec:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"delays must be numbers, got {value!r}")
-        return np.asarray(spec, dtype=float)
+        with _library_checks("delays"):
+            return np.asarray(spec, dtype=float)
     if isinstance(spec, dict):
         _check_keys(spec, {"start", "stop", "count"}, "delay grid")
         start = _get_number(spec, "start")

@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class DegenerateMaskError(ValueError):
-    """Raised when a contrast is requested for a mask with no bright or no dark pixels."""
+    """Raised when a contrast is undefined: no bright or no dark pixels, or a zero total."""
 
 
 class ImageConsistencyError(RuntimeError):

@@ -188,10 +188,6 @@ class ObjectMask:
         """The read-only int64 pixel values."""
         return self._array
 
-    def bright_indices(self) -> np.ndarray:
-        """0-based indices of transmitting pixels."""
-        return np.flatnonzero(self._array)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ObjectMask) and np.array_equal(self._array, other._array)
 

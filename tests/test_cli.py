@@ -128,6 +128,32 @@ def test_image_degenerate_mask_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({**IMAGE_JOB, "expected_total": 1e-9}, id="no-events"),
+        pytest.param(
+            {
+                **IMAGE_JOB,
+                "mask": [1, 0, 0, 0],
+                "family": "symmetric",
+                "expected_total": 8,
+                "accidental_fraction": 0.9,
+                "seed": 29,
+            },
+            id="corrected-to-zero",
+        ),
+    ],
+)
+def test_image_empty_draw_exits_3(tmp_path, capsys, payload):
+    code, out = run_image(tmp_path, payload)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ghostctl: undefined contrast: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 def test_image_config_errors_exit_2(tmp_path):
     code, _ = run_image(tmp_path, {**IMAGE_JOB, "surprise": 1})
     assert code == 2
@@ -148,6 +174,8 @@ SHOTS_JOB = {
     **{key: value for key, value in IMAGE_JOB.items() if key != "expected_total"},
     "shots": 10**30,
 }
+# 400 digits: past float's range, within Python's 4300-digit parsing limit
+HUGE = 10**399
 
 
 @pytest.mark.parametrize(
@@ -157,8 +185,14 @@ SHOTS_JOB = {
         pytest.param("image", IMAGE_JOB, ("--seed", "5000000000"), id="image-flag-seed"),
         pytest.param("image", {**IMAGE_JOB, "expected_total": 1e30}, (), id="expected-total"),
         pytest.param("image", SHOTS_JOB, (), id="shots"),
+        pytest.param("image", {**SHOTS_JOB, "shots": HUGE}, (), id="huge-shots"),
+        pytest.param(
+            "image", {**IMAGE_JOB, "accidental_fraction": HUGE}, (), id="huge-accidental-fraction"
+        ),
         pytest.param("image", {**IMAGE_JOB, "mask": ["1", 0, 0, 0]}, (), id="string-mask"),
         pytest.param("hom", {**HOM_JOB, "delays": [float("nan"), 0.0]}, (), id="nan-delay"),
+        pytest.param("hom", {**HOM_JOB, "dip_width": HUGE}, (), id="huge-dip-width"),
+        pytest.param("hom", {**HOM_JOB, "delays": [0.0, HUGE]}, (), id="huge-delay"),
         pytest.param(
             "hom", {**HOM_JOB, "seed": 5_000_000_000, "shots_per_delay": 100}, (), id="hom-job-seed"
         ),

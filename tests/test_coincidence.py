@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ghostswap.analytic import Image, analytic_contrast, analytic_image
+from ghostswap.analytic import Image, analytic_contrast, analytic_image, contrast_of_image
 from ghostswap.coincidence import (
     CampaignConfig,
     CampaignResult,
@@ -157,6 +157,43 @@ def test_sample_campaign_rejects_degenerate_masks():
         )
         with pytest.raises(DegenerateMaskError):
             sample_campaign(config)
+
+
+def test_sample_campaign_rejects_empty_draws():
+    # no events at all, and events that accidental subtraction removes
+    # entirely: this seed draws one count per pixel against a floor of 1.8
+    mask = ObjectMask([1, 0, 0, 0])
+    empty = CampaignConfig(
+        mask=mask, family=Projection.SYMMETRIC, mode="fixed_time", total=1e-9,
+    )
+    corrected_away = CampaignConfig(
+        mask=mask, family=Projection.SYMMETRIC, mode="fixed_time", total=8,
+        accidental_fraction=0.9, seed=29,
+    )
+    for config in (empty, corrected_away):
+        with pytest.raises(DegenerateMaskError):
+            sample_campaign(config)
+
+
+@pytest.mark.parametrize("mode", ["fixed_time", "fixed_shots"])
+@pytest.mark.parametrize("d", [2, 16, 256, 4096])
+def test_campaign_result_matches_public_estimators(d, mode):
+    # the campaign's own estimates equal the public functions applied to its
+    # counts, exactly: a contrast must not depend on how it was batched.
+    # Raw counts are whole numbers and sum exactly in any order; the
+    # corrected counts sit 8.2 below them, so their contrast is the sharper
+    # check.
+    config = CampaignConfig(
+        mask=ObjectMask.half_on(d), family=Projection.ANTI_SYMMETRIC, mode=mode,
+        total=41 * d, accidental_fraction=0.2, seed=d,
+    )
+    result = sample_campaign(config)
+    assert estimate_contrast(result.counts, config.mask) == result.raw_contrast
+    corrected = subtract_accidentals(result.counts, result.accidental_estimate)
+    assert np.array_equal(result.corrected_counts.pixels, corrected.pixels)
+    assert result.corrected_counts.kind == "counts"
+    corrected_value = contrast_of_image(result.corrected_counts, config.mask).value
+    assert corrected_value == result.corrected_contrast.value
 
 
 def test_campaign_contrast_is_exact_when_bright_counts_vanish():
