@@ -17,6 +17,7 @@ from ghostswap.analytic import (
 )
 from ghostswap.coincidence import (
     MAX_EVENT_TOTAL,
+    MAX_SCAN_DELAYS,
     CampaignConfig,
     CampaignResult,
     HomScanResult,
@@ -75,6 +76,7 @@ __all__ = [
     "contrast_of_image",
     "projection_probability",
     "MAX_EVENT_TOTAL",
+    "MAX_SCAN_DELAYS",
     "CampaignConfig",
     "CampaignResult",
     "HomScanResult",

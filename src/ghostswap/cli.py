@@ -20,7 +20,7 @@ from ghostswap.analytic import (
     analytic_contrast,
     analytic_image,
 )
-from ghostswap.coincidence import hom_scan, sample_campaign
+from ghostswap.coincidence import _RNG_SCHEME, hom_scan, sample_campaign
 from ghostswap.configfile import _parse_mask, _read_json, load_hom_job, load_image_job
 from ghostswap.errors import ConfigError, DegenerateMaskError, ImageConsistencyError
 from ghostswap.hilbert import ObjectMask, Projection
@@ -100,6 +100,8 @@ def cmd_image(args: argparse.Namespace) -> int:
         },
         "files": sorted(files),
     }
+    if result is not None and job.mode == "fixed_time":
+        summary["rng_scheme"] = _RNG_SCHEME
     write_json(out / "summary.json", summary)
     print(f"image: wrote {len(files)} files to {out}")
     return 0
@@ -234,6 +236,8 @@ def cmd_hom(args: argparse.Namespace) -> int:
         "seed": job.seed,
         "files": ["hom_scan.csv", "summary.json"],
     }
+    if scan.sampled_counts is not None:
+        summary["rng_scheme"] = _RNG_SCHEME
     write_json(out / "summary.json", summary)
     print(f"hom: wrote 2 files to {out}")
     return 0

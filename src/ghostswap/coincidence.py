@@ -3,9 +3,11 @@
 Campaigns draw per-pixel counts around the closed-form image. Two noise
 models are provided: "fixed_time" gives each pixel an independent Poisson
 draw for a fixed integration time, "fixed_shots" distributes an exact
-number of events multinomially. Every draw is keyed to a seed through
-named substreams, so results are reproducible bit for bit no matter how
-the pixels are evaluated.
+number of events multinomially. Poisson draws, of pixels and of scanned
+delays alike, are keyed to the seed in fixed blocks of 4096: block b draws
+from child b of SeedSequence(seed), so a draw depends only on the seed, its
+block and the means within that block, and blocks may be evaluated in any
+order or on any worker with the same result bit for bit.
 
 The contrast estimator propagates Poisson counting noise to first order;
 a parametric bootstrap is available as an independent check.
@@ -28,6 +30,7 @@ from ghostswap.hilbert import ObjectMask, Projection
 
 __all__ = [
     "MAX_EVENT_TOTAL",
+    "MAX_SCAN_DELAYS",
     "CampaignConfig",
     "CampaignResult",
     "HomScanResult",
@@ -48,6 +51,18 @@ _MAX_SEED = 2**32 - 1
 # Largest event total of a campaign or a delay scan: numpy's Poisson draw
 # refuses means above about 9.2e18 and its multinomial needs an int64 count.
 MAX_EVENT_TOTAL = 1e18
+
+# Largest number of delays in one scan: a grid past this is refused before
+# anything is allocated for it.
+MAX_SCAN_DELAYS = 10**6
+
+# Poisson draws are keyed to the seed per block of this many means. One
+# generator per block instead of one per mean keeps the draw vectorized;
+# changing the block size changes every draw, so it is not a parameter.
+_BLOCK = 4096
+
+# Recorded in summary.json by every run whose draws come from _poisson_draws.
+_RNG_SCHEME = f"SeedSequence(seed).spawn, one PCG64 stream per {_BLOCK}-draw block"
 
 
 def _validate_seed(seed: int) -> int:
@@ -121,21 +136,25 @@ def _expected_counts(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _poisson_draws(seed: int, means: np.ndarray) -> np.ndarray:
-    """One Poisson draw per mean, draw k from child k of the seed, so no draw
-    depends on the other means or on evaluation order."""
-    children = np.random.SeedSequence(seed).spawn(means.size)
-    return np.array(
-        [np.random.default_rng(child).poisson(mean) for child, mean in zip(children, means)],
-        dtype=np.int64,
-    )
+    """One Poisson draw per mean. Means k*_BLOCK to (k+1)*_BLOCK - 1 are drawn
+    in one call from child k of the seed, so no draw depends on the means of
+    other blocks or on the order in which blocks are evaluated."""
+    counts = np.empty(means.size, dtype=np.int64)
+    children = np.random.SeedSequence(seed).spawn(-(-means.size // _BLOCK))
+    for k, child in enumerate(children):
+        block = slice(k * _BLOCK, (k + 1) * _BLOCK)
+        counts[block] = np.random.default_rng(child).poisson(means[block])
+    return counts
 
 
 def sample_campaign(config: CampaignConfig) -> CampaignResult:
     """Draw one campaign and estimate its contrasts.
 
-    fixed_time mode draws each pixel from its own child stream of the
-    seed, so the counts never depend on evaluation order or worker
-    count. fixed_shots mode splits an exact event total multinomially.
+    fixed_time mode draws pixels in blocks of 4096, block k from child k
+    of the seed, so the counts never depend on evaluation order or worker
+    count, and a pixel's count depends only on the seed and the expected
+    counts of its own block. fixed_shots mode splits an exact event total
+    multinomially.
     Raw or corrected counts that sum to zero raise DegenerateMaskError.
     """
     _require_contrast(config.mask.d, config.mask.budget)
@@ -285,8 +304,9 @@ def _scan_inputs(
     """
     _validate_patterns(pattern_a, pattern_d)
     delays = np.array(delays, dtype=float)
-    if delays.ndim != 1 or delays.size == 0:
-        raise ValueError(f"delays must be a non-empty 1-D vector, got shape {delays.shape}")
+    if delays.ndim != 1:
+        raise ValueError(f"delays must be a 1-D vector, got shape {delays.shape}")
+    _validate_delay_count(delays.size)
     if not np.all(np.isfinite(delays)):
         raise ValueError("delays must be finite")
     dip_width = float(dip_width)
@@ -300,6 +320,13 @@ def _scan_inputs(
                 f"got {shots_per_delay}"
             )
     return delays, dip_width, shots_per_delay, _validate_seed(seed)
+
+
+def _validate_delay_count(count: int) -> int:
+    """A delay count of 1 to MAX_SCAN_DELAYS; checked before a grid is built."""
+    if not 0 < count <= MAX_SCAN_DELAYS:
+        raise ValueError(f"a delay scan takes 1 to {MAX_SCAN_DELAYS} delays, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -329,8 +356,9 @@ def hom_scan(
     The indistinguishability envelope is Gaussian in the delay.
 
     With shots_per_delay set, each delay also gets a Poisson-sampled
-    count with expectation shots_per_delay * rate, drawn from per-delay
-    substreams of the seed.
+    count with expectation shots_per_delay * rate. Delays are drawn in
+    blocks of 4096, block k from child k of the seed, as campaign pixels
+    are. At most MAX_SCAN_DELAYS delays are scanned.
     """
     delays, dip_width, shots, seed = _scan_inputs(
         pattern_a, pattern_d, delays, dip_width, shots_per_delay, seed

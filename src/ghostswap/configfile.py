@@ -4,9 +4,9 @@ Both loaders reject unknown keys outright; a silently ignored typo in a
 config file costs more debugging time than a hard error. This module checks
 only what belongs to the JSON format: keys, JSON types, mask length against
 dimension, mask presets, the pairing of the event total with the mode, and
-the shape of a delay grid. Every range is checked by the library function
-or constructor the value is handed to. All failures raise ConfigError,
-which the command line maps to exit code 2.
+the shape of a delay grid. Every range, the size of a delay grid included,
+is checked by the library function or constructor the value is handed to.
+All failures raise ConfigError, which the command line maps to exit code 2.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ghostswap.coincidence import CampaignConfig, _scan_inputs
+from ghostswap.coincidence import CampaignConfig, _scan_inputs, _validate_delay_count
 from ghostswap.errors import ConfigError
 from ghostswap.hilbert import ObjectMask, Projection, validate_dimension
 
@@ -111,6 +111,8 @@ def _parse_mask(spec: object, d: object, key: str) -> tuple[ObjectMask, str | No
             return getattr(ObjectMask, spec)(d), spec
         if not isinstance(spec, list):
             raise ConfigError(f"{key} must be a 0/1 list or a preset name, got {spec!r}")
+        if bool in set(map(type, spec)):  # numpy would read true and false as 1 and 0
+            raise ConfigError(f"{key} entries must be numbers, not JSON booleans")
         if len(spec) != d:
             raise ConfigError(f"{key} has {len(spec)} entries but dimension is {d}")
         return ObjectMask(spec), None
@@ -250,9 +252,8 @@ def _parse_delays(spec: object) -> np.ndarray:
         count = _get_int(spec, "count")
         if start is None or stop is None or count is None:
             raise ConfigError("delay grid needs start, stop, and count")
-        if count < 1:
-            raise ConfigError(f"delay grid count must be positive, got {count}")
-        return np.linspace(start, stop, count)
+        with _library_checks("delays"):
+            return np.linspace(start, stop, _validate_delay_count(count))
     raise ConfigError(f"delays must be a list or a start/stop/count grid, got {spec!r}")
 
 

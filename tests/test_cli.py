@@ -139,7 +139,7 @@ def test_image_degenerate_mask_exits_3(tmp_path):
                 "family": "symmetric",
                 "expected_total": 8,
                 "accidental_fraction": 0.9,
-                "seed": 29,
+                "seed": 111,
             },
             id="corrected-to-zero",
         ),
@@ -190,9 +190,21 @@ HUGE = 10**399
             "image", {**IMAGE_JOB, "accidental_fraction": HUGE}, (), id="huge-accidental-fraction"
         ),
         pytest.param("image", {**IMAGE_JOB, "mask": ["1", 0, 0, 0]}, (), id="string-mask"),
+        pytest.param("image", {**IMAGE_JOB, "mask": [True, 0, 0, 0]}, (), id="bool-mask"),
+        pytest.param("figure2", [True, 0, 0, 0], (), id="figure2-bool-mask"),
+        pytest.param("hom", {**HOM_JOB, "pattern_d": [0, True]}, (), id="bool-pattern"),
         pytest.param("hom", {**HOM_JOB, "delays": [float("nan"), 0.0]}, (), id="nan-delay"),
         pytest.param("hom", {**HOM_JOB, "dip_width": HUGE}, (), id="huge-dip-width"),
         pytest.param("hom", {**HOM_JOB, "delays": [0.0, HUGE]}, (), id="huge-delay"),
+        pytest.param(
+            "hom", {**HOM_JOB, "delays": {"start": -1, "stop": 1, "count": 10**21}}, (),
+            id="delay-grid-past-int64",
+        ),
+        pytest.param(
+            "hom", {**HOM_JOB, "delays": {"start": -1, "stop": 1, "count": 10**6 + 1}}, (),
+            id="delay-grid-past-cap",
+        ),
+        pytest.param("hom", {**HOM_JOB, "delays": [0] * (10**6 + 1)}, (), id="delay-list-past-cap"),
         pytest.param(
             "hom", {**HOM_JOB, "seed": 5_000_000_000, "shots_per_delay": 100}, (), id="hom-job-seed"
         ),
@@ -205,7 +217,11 @@ HUGE = 10**399
 def test_input_boundary_exits_2(tmp_path, capsys, command, payload, extra):
     config = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    code = cli.main([command, str(config), "--out-dir", str(out), *extra])
+    if command == "figure2":  # the payload is a mask file
+        job = ["figure2", "--dimension", str(len(payload)), "--mask", str(config)]
+    else:
+        job = [command, str(config)]
+    code = cli.main([*job, "--out-dir", str(out), *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("ghostctl: configuration error: ")
@@ -338,6 +354,30 @@ def test_hom_command_analytic_scan(tmp_path):
     assert all(row[2] == "" for row in rows)
     rates = np.array([float(row[1]) for row in rows])
     assert np.all(np.abs(rates - 0.5) < 1e-15)
+
+
+RNG_SCHEME = "SeedSequence(seed).spawn, one PCG64 stream per 4096-draw block"
+
+
+@pytest.mark.parametrize(
+    "command, payload, extra, scheme",
+    [
+        pytest.param("image", IMAGE_JOB, (), RNG_SCHEME, id="fixed-time"),
+        pytest.param("image", {**SHOTS_JOB, "shots": 684}, (), None, id="fixed-shots"),
+        pytest.param("image", IMAGE_JOB, ("--analytic-only",), None, id="analytic-only"),
+        pytest.param("hom", {**HOM_JOB, "shots_per_delay": 100}, (), RNG_SCHEME, id="hom-sampled"),
+        pytest.param("hom", HOM_JOB, (), None, id="hom-unsampled"),
+    ],
+)
+def test_summary_names_the_block_rng_scheme(tmp_path, command, payload, extra, scheme):
+    # runs whose draws come in seeded 4096-draw blocks say so; runs that
+    # draw nothing that way keep the summary they had before the scheme
+    config = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, str(config), "--out-dir", str(out), *extra]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary.get("rng_scheme") == scheme
+    assert ("rng_scheme" in summary) == (scheme is not None)
 
 
 def test_hom_bad_config_exits_2(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 from ghostswap.analytic import Image, analytic_contrast, analytic_image, contrast_of_image
 from ghostswap.coincidence import (
+    MAX_SCAN_DELAYS,
     CampaignConfig,
     CampaignResult,
     HomScanResult,
@@ -105,24 +106,28 @@ def test_sample_campaign_is_deterministic():
 
 
 def test_sample_campaign_per_pixel_substreams():
-    # pixels with identical expected rates and identical stream indices get
-    # identical draws even when other pixels change, which is what makes
-    # parallel evaluation order-independent
-    base = sample_campaign(
-        CampaignConfig(
-            mask=ObjectMask([1, 0, 0, 0]),
-            family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=900, seed=11,
+    # pixels draw in blocks of 4096, block k from child k of the seed: a
+    # block whose expected counts are unchanged draws the same counts even
+    # when other blocks change, which is what makes parallel evaluation
+    # order-independent
+    d = 2 * 4096 + 5
+    runs = []
+    for bright in (0, 1):
+        values = np.zeros(d, dtype=np.int64)
+        values[bright] = 1
+        runs.append(
+            sample_campaign(
+                CampaignConfig(
+                    mask=ObjectMask(values), family=Projection.ANTI_SYMMETRIC,
+                    mode="fixed_time", total=300 * (d - 1), seed=11,
+                )
+            ).counts.pixels
         )
-    )
-    moved = sample_campaign(
-        CampaignConfig(
-            mask=ObjectMask([0, 1, 0, 0]),
-            family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=900, seed=11,
-        )
-    )
-    # pixels 3 and 4 have expectation 300 in both runs
-    assert base.counts.pixels[2] == moved.counts.pixels[2]
-    assert base.counts.pixels[3] == moved.counts.pixels[3]
+    base, moved = runs
+    # every pixel past block 0 is dark, with expectation 300, in both runs
+    assert np.array_equal(base[4096:], moved[4096:])
+    # blocks 1 and 2 have equal means, so only their own streams tell them apart
+    assert not np.array_equal(base[2 * 4096:], base[4096:4096 + 5])
 
 
 def test_sample_campaign_fixed_shots_mode():
@@ -168,7 +173,7 @@ def test_sample_campaign_rejects_empty_draws():
     )
     corrected_away = CampaignConfig(
         mask=mask, family=Projection.SYMMETRIC, mode="fixed_time", total=8,
-        accidental_fraction=0.9, seed=29,
+        accidental_fraction=0.9, seed=111,
     )
     for config in (empty, corrected_away):
         with pytest.raises(DegenerateMaskError):
@@ -424,6 +429,39 @@ def test_hom_scan_validation():
         hom_scan(pattern, ObjectMask([1, 0, 0]), np.array([0.0]), dip_width=1.0)
     with pytest.raises(ValueError):
         hom_scan(ObjectMask([0, 0]), pattern, np.array([0.0]), dip_width=1.0)
+
+
+def test_hom_scan_caps_the_delay_count():
+    pattern = ObjectMask([1, 0])
+    scan = hom_scan(pattern, pattern, np.zeros(MAX_SCAN_DELAYS), dip_width=1.0)
+    assert scan.rates.size == MAX_SCAN_DELAYS
+    with pytest.raises(ValueError, match="delay scan takes"):
+        hom_scan(pattern, pattern, np.zeros(MAX_SCAN_DELAYS + 1), dip_width=1.0)
+
+
+def test_poisson_draws_build_one_generator_per_block(monkeypatch):
+    # the cost model of the sampler: one generator per 4096 draws, not one
+    # per pixel or per delay
+    built = []
+    real = np.random.default_rng
+
+    def counting_rng(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    sample_campaign(
+        CampaignConfig(
+            mask=ObjectMask.half_on(100_000), family=Projection.ANTI_SYMMETRIC,
+            mode="fixed_time", total=1e7, seed=3,
+        )
+    )
+    assert len(built) == 25  # ceil(10^5 / 4096)
+    built.clear()
+    pattern = ObjectMask([1, 0])
+    delays = np.linspace(-3.0, 3.0, 10_001)
+    hom_scan(pattern, pattern, delays, dip_width=1.0, shots_per_delay=100, seed=3)
+    assert len(built) == 3
 
 
 def test_all_on_patterns_are_allowed_in_hom_scan():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from ghostswap.io import (
+    RECORD_COLUMNS,
+    csv_text,
     image_layout,
     parse_pgm,
     read_csv,
@@ -160,3 +162,39 @@ def test_image_records_without_samples(tmp_path):
     records = read_image_records(path)
     assert records["sampled_count"] is None
     assert records["corrected_count"] is None
+
+
+def test_image_records_match_the_cell_by_cell_writer(tmp_path):
+    # reference: the rows built one cell at a time and written by csv_text
+    analytic = np.array([0.0, -0.0, 5e-324, 1 / 3, 1e300, 1 / 3, 0.0, -0.0, 0.1, 0.1])
+    sampled = np.array([0, 2**62, 7, 2**63 - 1, 7, 0, 1, 12, 12, 3], dtype=np.int64)
+    corrected = np.array([0.0, 2.0**62, 5.2, 1e300, 5.2, 0.0, 5e-324, -0.0, 10.2, 1.2])
+    cases = [
+        (sampled, corrected),
+        (None, None),
+        (sampled, None),
+        (None, corrected),
+    ]
+    for k, (counts, floats) in enumerate(cases):
+        path = tmp_path / f"records_{k}.csv"
+        write_image_records(path, analytic, counts, floats)
+        rows = [
+            (
+                i + 1,
+                float(analytic[i]),
+                None if counts is None else int(counts[i]),
+                None if floats is None else float(floats[i]),
+            )
+            for i in range(analytic.size)
+        ]
+        assert path.read_bytes() == csv_text(RECORD_COLUMNS, rows).encode("ascii")
+
+
+def test_image_records_reject_count_columns_of_the_wrong_length(tmp_path):
+    analytic = np.array([0.5, 0.25, 0.25])
+    path = tmp_path / "records.csv"
+    with pytest.raises(ValueError):
+        write_image_records(path, analytic, np.array([1, 2]), None)
+    with pytest.raises(ValueError):
+        write_image_records(path, analytic, None, np.array([1.0, 2.0, 3.0, 4.0]))
+    assert not path.exists()
