@@ -32,6 +32,7 @@ from ghostswap.coincidence import (
 from ghostswap.configfile import HomJob, ImageJob, load_hom_job, load_image_job
 from ghostswap.errors import ConfigError, DegenerateMaskError, ImageConsistencyError
 from ghostswap.hilbert import (
+    MAX_DIMENSION,
     MAX_EXACT_DIMENSION,
     BellProjector,
     DensityMatrix,
@@ -54,6 +55,7 @@ __all__ = [
     "ConfigError",
     "DegenerateMaskError",
     "ImageConsistencyError",
+    "MAX_DIMENSION",
     "MAX_EXACT_DIMENSION",
     "BellProjector",
     "DensityMatrix",

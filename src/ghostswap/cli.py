@@ -21,9 +21,15 @@ from ghostswap.analytic import (
     analytic_image,
 )
 from ghostswap.coincidence import _RNG_SCHEME, hom_scan, sample_campaign
-from ghostswap.configfile import _parse_mask, _read_json, load_hom_job, load_image_job
+from ghostswap.configfile import (
+    _library_checks,
+    _parse_mask,
+    _read_json,
+    load_hom_job,
+    load_image_job,
+)
 from ghostswap.errors import ConfigError, DegenerateMaskError, ImageConsistencyError
-from ghostswap.hilbert import ObjectMask, Projection
+from ghostswap.hilbert import ObjectMask, Projection, validate_dimension
 from ghostswap.io import (
     csv_text,
     image_layout,
@@ -82,7 +88,7 @@ def cmd_image(args: argparse.Namespace) -> int:
     summary = {
         "command": "image",
         "dimension": job.mask.d,
-        "mask": list(job.mask.values),
+        "mask": job.mask.as_array(),
         "mask_preset": job.mask_preset,
         "budget": job.mask.budget,
         "family": job.family.value,
@@ -108,7 +114,8 @@ def cmd_image(args: argparse.Namespace) -> int:
 
 
 def _figure_mask(args: argparse.Namespace) -> ObjectMask:
-    d = args.dimension
+    with _library_checks("--dimension"):
+        d = validate_dimension(args.dimension)
     if args.mask is not None:
         values = _read_json(args.mask)
         if not isinstance(values, list):
@@ -191,7 +198,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
         "command": "figure2",
         "dimension": d,
         "budget": budget,
-        "mask": list(mask.values),
+        "mask": mask.as_array(),
         "denominator": 2 * d * d,
         "identities": identities,
         "pgm_scale": scales,
@@ -228,8 +235,8 @@ def cmd_hom(args: argparse.Namespace) -> int:
     summary = {
         "command": "hom",
         "dimension": job.pattern_a.d,
-        "pattern_a": list(job.pattern_a.values),
-        "pattern_d": list(job.pattern_d.values),
+        "pattern_a": job.pattern_a.as_array(),
+        "pattern_d": job.pattern_d.as_array(),
         "antisymmetric_weight": scan.antisymmetric_weight,
         "dip_width": scan.dip_width,
         "shots_per_delay": job.shots_per_delay,
@@ -245,8 +252,9 @@ def cmd_hom(args: argparse.Namespace) -> int:
 
 def cmd_contrast_curve(args: argparse.Namespace) -> int:
     """Closed-form contrast against dimension at a fixed mask budget."""
-    if args.d_min < 2:
-        raise ConfigError(f"--d-min must be at least 2, got {args.d_min}")
+    for flag, d in (("--d-min", args.d_min), ("--d-max", args.d_max)):
+        with _library_checks(flag):
+            validate_dimension(d)
     if args.d_max < args.d_min:
         raise ConfigError(f"--d-max {args.d_max} is below --d-min {args.d_min}")
     if args.budget < 1:

@@ -11,8 +11,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -107,14 +110,14 @@ def write_pgm(path: str | Path, pixels: np.ndarray, shape: tuple[int, int]) -> f
     peak = float(values.max())
     scale = PGM_MAXVAL / peak if peak > 0 else 0.0
     levels = np.rint(values * scale).astype(np.int64)
-    raster = to_raster(levels, shape)
+    raster = to_raster(_texts(levels, str), shape)
     height, width = shape
     lines = [
         "P2",
         f"{width} {height}",
         str(PGM_MAXVAL),
     ]
-    lines.extend(" ".join(map(str, row)) for row in raster.tolist())
+    lines.extend(map(" ".join, raster.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
     return scale
 
@@ -159,30 +162,66 @@ def _coerce_json(value: object) -> object:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def write_json(path: str | Path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_coerce_json)
-    Path(path).write_text(text + "\n", encoding="ascii")
+_JSON_ENCODER = json.JSONEncoder(indent=2, sort_keys=True, default=_coerce_json)
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """repr of each double, formatted once per distinct bit pattern.
+def _json_text(value: object, indent: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value nested `indent` deep.
 
-    Deduplicating on the int64 view keeps -0.0 apart from 0.0 and each NaN
-    payload apart; the image columns hold few distinct values.
+    With an indent the standard library encodes in pure Python, one step per
+    item. Here dicts with string keys are walked, and 1-D integer arrays and
+    lists of plain ints are formatted in one pass; anything else goes to the
+    standard encoder, re-indented, so the text is the same.
     """
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return texts[inverse].tolist()
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
+        items = _texts(value, str).tolist()
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
+        items = list(map(int.__repr__, value))
+    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        inner = indent + "  "
+        members = (
+            f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            for key in sorted(value)
+        )
+        return "{\n" + ",\n".join(members) + "\n" + indent + "}"
+    else:
+        return _JSON_ENCODER.encode(value).replace("\n", "\n" + indent)
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    The text equals json.dumps(payload, indent=2, sort_keys=True) with numpy
+    scalars and arrays taken as the Python numbers and lists they hold.
+    """
+    Path(path).write_text(_json_text(payload, "") + "\n", encoding="ascii")
+
+
+def _texts(values: np.ndarray, fmt: Callable[[Any], str]) -> np.ndarray:
+    """fmt of each value of a 1-D array, as a 1-D object array.
+
+    fmt is called once per distinct int or distinct double bit pattern: the
+    columns written here hold few distinct values. Deduplicating doubles on
+    their int64 view keeps -0.0 apart from 0.0 and each NaN payload apart.
+    """
+    keys = values.view(np.int64) if values.dtype.kind == "f" else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array(list(map(fmt, distinct.view(values.dtype).tolist())), dtype=object)
+    return texts[inverse]
 
 
 # The image table runs to one row per pixel, so it is formatted a column at
-# a time. figure2, hom and contrast-curve stay on csv_text. Tried on
-# figure2, the columnar writer shortened each figure-panel benchmark cycle,
-# so a run held 11 or more d = 10^5 panels and the tail percentile moved
-# onto them: latency_tail_ms went from 308 to 804 ms. The two writers share
-# no logic.
+# a time. figure2, hom and contrast-curve stay on csv_text, for two reasons
+# measured on the benchmark. Tail class: tried on figure2, the columnar
+# writer shortened each figure-panel cycle, so a run held 11 or more
+# d = 10^5 panels and the tail percentile moved onto them (latency_tail_ms
+# 308 -> 804 ms). Check cost: the benchmark reads every output back outside
+# its timed window, so a faster writer also means more outputs to check and
+# a longer run. The two writers share no logic.
 def write_image_records(
     path: str | Path,
     analytic: np.ndarray,
@@ -204,34 +243,40 @@ def write_image_records(
             raise ValueError(f"{name} has shape {np.shape(column)}, expected ({n},)")
     columns = (
         map(str, range(1, n + 1)),
-        _float_texts(analytic),
-        repeat("", n) if sampled is None else map(str, np.asarray(sampled, dtype=np.int64).tolist()),
-        repeat("", n) if corrected is None else _float_texts(corrected),
+        _texts(analytic, repr).tolist(),
+        repeat("", n) if sampled is None else _texts(np.asarray(sampled, dtype=np.int64), str).tolist(),
+        repeat("", n) if corrected is None else _texts(np.asarray(corrected, dtype=float), repr).tolist(),
     )
     lines = [",".join(RECORD_COLUMNS), *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def read_image_records(path: str | Path) -> dict[str, np.ndarray | None]:
-    """Inverse of write_image_records; blank columns come back as None."""
-    header, rows = read_csv(path)
-    if header != RECORD_COLUMNS:
-        raise ValueError(f"unexpected header {header}")
-    if not rows:
-        raise ValueError(f"{path} has no records")
-    index = np.array([int(row[0]) for row in rows], dtype=np.int64)
-    analytic = np.array([float(row[1]) for row in rows])
-    if all(row[2] == "" for row in rows):
-        sampled = None
-    else:
-        sampled = np.array([int(row[2]) for row in rows], dtype=np.int64)
-    if all(row[3] == "" for row in rows):
-        corrected = None
-    else:
-        corrected = np.array([float(row[3]) for row in rows])
-    return {
-        "pixel_index": index,
-        "analytic_intensity": analytic,
-        "sampled_count": sampled,
-        "corrected_count": corrected,
-    }
+    """Inverse of write_image_records; blank columns come back as None.
+
+    A count column is blank on every row or on none, as the first record
+    shows. Blank columns are read as one-character text and checked empty
+    rather than skipped, so that loadtxt still checks every row for four
+    cells.
+    """
+    kinds = dict(zip(RECORD_COLUMNS, (np.int64, float, np.int64, float)))
+    with open(path, encoding="ascii") as handle:
+        header = handle.readline().rstrip("\n").split(",")
+        if header != RECORD_COLUMNS:
+            raise ValueError(f"unexpected header {header}")
+        first = handle.readline().rstrip("\n").split(",")
+        if first == [""]:
+            raise ValueError(f"{path} has no records")
+        blank = {name for name, cell in zip(RECORD_COLUMNS[2:], first[2:]) if cell == ""}
+        dtype = [(name, "U1" if name in blank else kind) for name, kind in kinds.items()]
+        handle.seek(0)
+        table = np.loadtxt(handle, dtype=dtype, delimiter=",", comments=None, skiprows=1, ndmin=1)
+    records: dict[str, np.ndarray | None] = {}
+    for name in RECORD_COLUMNS:
+        if name not in blank:
+            records[name] = np.ascontiguousarray(table[name])
+        elif np.any(table[name] != ""):
+            raise ValueError(f"{path}: {name} is blank on only some rows")
+        else:
+            records[name] = None
+    return records

@@ -189,6 +189,11 @@ HUGE = 10**399
         pytest.param(
             "image", {**IMAGE_JOB, "accidental_fraction": HUGE}, (), id="huge-accidental-fraction"
         ),
+        pytest.param(
+            "image", {**IMAGE_JOB, "dimension": 10**6 + 1, "mask": "half_on"}, (),
+            id="image-dimension-past-cap",
+        ),
+        pytest.param("hom", {**HOM_JOB, "dimension": 10**9}, (), id="hom-dimension-past-cap"),
         pytest.param("image", {**IMAGE_JOB, "mask": ["1", 0, 0, 0]}, (), id="string-mask"),
         pytest.param("image", {**IMAGE_JOB, "mask": [True, 0, 0, 0]}, (), id="bool-mask"),
         pytest.param("figure2", [True, 0, 0, 0], (), id="figure2-bool-mask"),
@@ -226,6 +231,31 @@ def test_input_boundary_exits_2(tmp_path, capsys, command, payload, extra):
     err = capsys.readouterr().err
     assert err.startswith("ghostctl: configuration error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["figure2", "--dimension", "1000000000", "--budget", "1"], id="figure2-dimension"),
+        pytest.param(["figure2", "--dimension", "1000001", "--mask", "unread.json"], id="figure2-mask"),
+        pytest.param(
+            ["contrast-curve", "--d-min", "2", "--d-max", str(10**12), "--budget", "1"], id="curve-d-max"
+        ),
+        pytest.param(
+            ["contrast-curve", "--d-min", str(10**12), "--d-max", str(10**12), "--budget", "1"],
+            id="curve-d-min",
+        ),
+    ],
+)
+def test_dimension_flags_past_the_cap_exit_2(tmp_path, capsys, argv):
+    # the cap is checked before any mask list or curve row is built
+    out = tmp_path / "out"
+    flag = "--out" if argv[0] == "contrast-curve" else "--out-dir"
+    assert cli.main([*argv, flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghostctl: configuration error: ") and "at most" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghostswap.hilbert import (
+    MAX_DIMENSION,
     MAX_EXACT_DIMENSION,
     BellProjector,
     FourPhotonState,
@@ -24,6 +25,7 @@ from ghostswap.hilbert import (
     enumerate_projectors,
     joint_probability,
     project_bc,
+    validate_dimension,
 )
 
 from conftest import random_mask
@@ -169,6 +171,14 @@ def test_initial_state_dimension_validation():
         build_initial_state(MAX_EXACT_DIMENSION + 1)
     with pytest.raises(ValueError):
         build_initial_state(0)
+
+
+def test_dimension_cap():
+    assert validate_dimension(MAX_DIMENSION) == MAX_DIMENSION
+    with pytest.raises(ValueError, match="at most"):
+        validate_dimension(MAX_DIMENSION + 1)
+    with pytest.raises(ValueError, match="at most"):
+        ObjectMask.half_on(10**12)
 
 
 def test_state_amplitudes_are_read_only():

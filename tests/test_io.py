@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,3 +200,141 @@ def test_image_records_reject_count_columns_of_the_wrong_length(tmp_path):
     with pytest.raises(ValueError):
         write_image_records(path, analytic, None, np.array([1.0, 2.0, 3.0, 4.0]))
     assert not path.exists()
+
+
+def _numpy_as_python(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value.item()
+
+
+JSON_PAYLOADS = {
+    "empty": {},
+    "empty-containers": {"a": {}, "b": [], "c": [[]], "d": {"e": {"f": []}}, "t": ()},
+    "nested": {"list": [1, 2.5, "x", None, [3, {"k": [4, 5]}]], "dict": {"z": 1, "a": {"m": 2}}},
+    "plain-ints": {"small": [0, 1, -7], "huge": [10**30, -(2**70)], "tuple": (4, 5, 6)},
+    "bools-among-ints": {"mixed": [1, True, 0, False], "flags": [True, False]},
+    "numpy-scalars": {
+        "int64": np.int64(-3),
+        "uint8": np.uint8(200),
+        "float64": np.float64(0.1),
+        "float32": np.float32(0.1),
+    },
+    "numpy-arrays": {
+        "int64": np.arange(-3, 4),
+        "int32": np.array([7, 7, -1], dtype=np.int32),
+        "uint64": np.array([2**64 - 1, 0], dtype=np.uint64),
+        "empty": np.array([], dtype=np.int64),
+        "floats": np.array([1.5, -0.0, 5e-324]),
+        "matrix": np.array([[1, 2], [3, 4]]),
+        "bools": np.array([True, False]),
+        "scalar": np.array(9),
+    },
+    "constants": {
+        "true": True,
+        "false": False,
+        "null": None,
+        "nan": float("nan"),
+        "inf": float("inf"),
+        "-inf": float("-inf"),
+        "in-list": [float("nan"), None, float("-inf")],
+    },
+    "escapes": {
+        'quote"back\\slash': "line\nbreak\ttab\r",
+        "café": "ünïcødé ☃ \U0001f600",
+        "control": "\x00\x1f\x7f",
+        "": "",
+    },
+    "non-string-keys": {"outer": {1: "one", 2: [3]}},
+    "big-list": {"mask": [k % 3 for k in range(10**5)]},
+    "big-array": {"mask": np.arange(10**5, dtype=np.int64) % 5, "after": 1},
+}
+
+
+@pytest.mark.parametrize("name", JSON_PAYLOADS)
+def test_write_json_matches_the_standard_encoder(tmp_path, name):
+    # reference: the standard library's encoder, numpy values taken as Python
+    payload = JSON_PAYLOADS[name]
+    path = tmp_path / "summary.json"
+    write_json(path, payload)
+    reference = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_as_python)
+    assert path.read_bytes() == (reference + "\n").encode("ascii")
+
+
+def test_write_json_of_an_int_list_beats_the_standard_encoder(tmp_path):
+    payload = {"mask": [k % 2 for k in range(10**5)]}
+    path = tmp_path / "summary.json"
+    ours, reference = [], []
+    for _ in range(5):
+        start = time.perf_counter()
+        write_json(path, payload)
+        ours.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
+        reference.append(time.perf_counter() - start)
+    assert min(ours) < min(reference)
+
+
+HEADER = ",".join(RECORD_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(HEADER + "1,0.5,,\n2,0.5,3,\n", id="sampled-blank-then-filled"),
+        pytest.param(HEADER + "1,0.5,3,\n2,0.5,,\n", id="sampled-filled-then-blank"),
+        pytest.param(HEADER + "1,0.5,,\n2,0.5,,2.5\n", id="corrected-blank-then-filled"),
+        pytest.param(HEADER + "1,0.5,3,2.5\n2,0.5,4,\n", id="corrected-filled-then-blank"),
+        pytest.param(HEADER + "1,0.5,3,2.5\n2,0.5,4\n", id="short-row"),
+        pytest.param(HEADER + "1,0.5,,\n2,0.5,,,\n", id="long-row"),
+        pytest.param(HEADER + "1,0.5,3\n", id="short-first-row"),
+        pytest.param("pixel_index,analytic,sampled_count,corrected_count\n1,0.5,,\n", id="header"),
+        pytest.param(HEADER, id="no-records"),
+        pytest.param("", id="empty-file"),
+    ],
+)
+def test_read_image_records_rejects_malformed_tables(tmp_path, text):
+    path = tmp_path / "image_records.csv"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError):
+        read_image_records(path)
+
+
+def test_image_records_round_trip_is_bit_exact(tmp_path):
+    analytic = np.array([-0.0, 5e-324, 1e300, 0.0])
+    sampled = np.array([0, 2**63 - 1, 1, 2**62], dtype=np.int64)
+    corrected = np.array([5e-324, -0.0, 1e300, 0.1])
+    full = [(analytic, sampled, corrected), (analytic, None, corrected), (analytic, sampled, None)]
+    one_record = [tuple(None if c is None else c[:1] for c in case) for case in full]
+    for k, (floats, counts, corrections) in enumerate(full + one_record):
+        path = tmp_path / f"records_{k}.csv"
+        write_image_records(path, floats, counts, corrections)
+        records = read_image_records(path)
+        assert np.array_equal(records["pixel_index"], np.arange(1, floats.size + 1))
+        assert records["analytic_intensity"].view(np.int64).tolist() == floats.view(np.int64).tolist()
+        if counts is None:
+            assert records["sampled_count"] is None
+        else:
+            assert records["sampled_count"].dtype == np.int64
+            assert records["sampled_count"].tolist() == counts.tolist()
+        if corrections is None:
+            assert records["corrected_count"] is None
+        else:
+            got = records["corrected_count"].view(np.int64).tolist()
+            assert got == corrections.view(np.int64).tolist()
+
+
+def test_read_image_records_memory_stays_bounded(tmp_path):
+    # a d = 10^5 table is 2.6 MB of text; the reader's traced peak stays
+    # within a few copies of its columns
+    d = 10**5
+    rng = np.random.default_rng(8)
+    sampled = rng.poisson(50.0, d)
+    path = tmp_path / "image_records.csv"
+    write_image_records(path, rng.random(d), sampled, sampled - 0.5)
+    tracemalloc.start()
+    try:
+        records = read_image_records(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records["sampled_count"].size == d
+    assert peak < 15e6
