@@ -173,22 +173,20 @@ def _json_text(value: object, indent: str) -> str:
     lists of plain ints are formatted in one pass; anything else goes to the
     standard encoder, re-indented, so the text is the same.
     """
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
-        items = _texts(value, str).tolist()
-    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
-        items = list(map(int.__repr__, value))
-    elif isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        inner = indent + "  "
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         members = (
             f"{inner}{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
             for key in sorted(value)
         )
         return "{\n" + ",\n".join(members) + "\n" + indent + "}"
+    is_int_array = isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+    if is_int_array and value.ndim == 1 and value.size:
+        items = _texts(value, str).tolist()
+    elif isinstance(value, (list, tuple)) and value and set(map(type, value)) == {int}:
+        items = map(int.__repr__, value)
     else:
         return _JSON_ENCODER.encode(value).replace("\n", "\n" + indent)
-    if not items:
-        return "[]"
-    inner = indent + "  "
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
@@ -244,8 +242,12 @@ def write_image_records(
     columns = (
         map(str, range(1, n + 1)),
         _texts(analytic, repr).tolist(),
-        repeat("", n) if sampled is None else _texts(np.asarray(sampled, dtype=np.int64), str).tolist(),
-        repeat("", n) if corrected is None else _texts(np.asarray(corrected, dtype=float), repr).tolist(),
+        repeat("", n)
+        if sampled is None
+        else _texts(np.asarray(sampled, dtype=np.int64), str).tolist(),
+        repeat("", n)
+        if corrected is None
+        else _texts(np.asarray(corrected, dtype=float), repr).tolist(),
     )
     lines = [",".join(RECORD_COLUMNS), *map(",".join, zip(*columns))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

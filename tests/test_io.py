@@ -298,6 +298,10 @@ def test_read_image_records_rejects_malformed_tables(tmp_path, text):
         read_image_records(path)
 
 
+def _bits(values: np.ndarray) -> list[int]:
+    return values.view(np.int64).tolist()
+
+
 def test_image_records_round_trip_is_bit_exact(tmp_path):
     analytic = np.array([-0.0, 5e-324, 1e300, 0.0])
     sampled = np.array([0, 2**63 - 1, 1, 2**62], dtype=np.int64)
@@ -309,7 +313,7 @@ def test_image_records_round_trip_is_bit_exact(tmp_path):
         write_image_records(path, floats, counts, corrections)
         records = read_image_records(path)
         assert np.array_equal(records["pixel_index"], np.arange(1, floats.size + 1))
-        assert records["analytic_intensity"].view(np.int64).tolist() == floats.view(np.int64).tolist()
+        assert _bits(records["analytic_intensity"]) == _bits(floats)
         if counts is None:
             assert records["sampled_count"] is None
         else:
@@ -318,8 +322,7 @@ def test_image_records_round_trip_is_bit_exact(tmp_path):
         if corrections is None:
             assert records["corrected_count"] is None
         else:
-            got = records["corrected_count"].view(np.int64).tolist()
-            assert got == corrections.view(np.int64).tolist()
+            assert _bits(records["corrected_count"]) == _bits(corrections)
 
 
 def test_read_image_records_memory_stays_bounded(tmp_path):
