@@ -1,10 +1,14 @@
-"""Byte-level pins of every file ghostctl writes.
+"""Byte-level pins of every file ghostctl writes, and of campaign draws.
 
 Each case runs cli.main once and compares the SHA-256 of every file it
 wrote with the digest recorded here. A change to any written byte, from
 a writer rewrite, a changed float, a reordered block seed or a new summary
 key, fails a case; a change that means to alter the output updates the
 digest in the same commit and names it as an output-contract change.
+
+The campaign pins hold sample_campaign's counts as literal arrays and its
+contrasts as float.hex strings, so the RNG contract is pinned apart from
+the writers.
 
 Sampled runs depend on numpy's Generator streams, which numpy does not
 promise to keep across versions, so their failures name the numpy version.
@@ -19,6 +23,8 @@ import numpy as np
 import pytest
 
 import ghostswap.cli as cli
+from ghostswap.coincidence import CampaignConfig, sample_campaign
+from ghostswap.hilbert import ObjectMask, Projection
 
 IMAGE_JOB = {
     "dimension": 16,
@@ -188,3 +194,95 @@ def test_output_bytes_are_pinned(tmp_path, capsys, name):
             " Generator streams stable across versions)"
         )
     assert digests == expected, f"{name}: output bytes changed{note}"
+
+
+# The RNG contract apart from the writers: sample_campaign's counts for
+# three seeds per mode at d = 2 and d = 16 with accidental fraction 0.2, and
+# float.hex of the raw and the corrected contrast value and sigma.
+CAMPAIGN_SETUPS = {
+    2: ([1, 0], Projection.SYMMETRIC, 400),
+    16: (IMAGE_JOB["mask"], Projection.ANTI_SYMMETRIC, 800),
+}
+
+# (mode, d, seed) -> (counts, (raw value, raw sigma), (corrected value, corrected sigma))
+CAMPAIGN_PINS = {
+    ("fixed_time", 2, 1): (
+        [263, 152],
+        ("0x1.11e39fc4c7dd7p-2", "0x1.837a765b9fecap-5"),
+        ("0x1.534ba75aeff3cp-2", "0x1.a64b1477caa4cp-5"),
+    ),
+    ("fixed_time", 2, 7): (
+        [268, 150],
+        ("0x1.21125f8a6956fp-2", "0x1.806309d604f04p-5"),
+        ("0x1.657dba51cc7f4p-2", "0x1.a18cd75191fc3p-5"),
+    ),
+    ("fixed_time", 2, 4294967295): (
+        [223, 140],
+        ("0x1.d44685fe96eb9p-3", "0x1.a293fb207a19bp-5"),
+        ("0x1.2c5338fd4945ap-2", "0x1.d18ca9aa81ba0p-5"),
+    ),
+    ("fixed_time", 16, 1): (
+        [57, 45, 32, 44, 52, 49, 47, 49, 60, 56, 61, 60, 57, 51, 61, 62],
+        ("-0x1.5a98d9d67f577p-7", "0x1.36ca965fef436p-8"),
+        ("-0x1.abca86af2a1aap-7", "0x1.54f5b92061184p-8"),
+    ),
+    ("fixed_time", 16, 7): (
+        [60, 44, 47, 41, 38, 53, 41, 54, 56, 57, 51, 40, 66, 53, 43, 56],
+        ("-0x1.7e4b17e4b17e6p-7", "0x1.3d4c5d2bf5fecp-8"),
+        ("-0x1.ddddddddddde0p-7", "0x1.5d633c585f6d4p-8"),
+    ),
+    ("fixed_time", 16, 4294967295): (
+        [39, 38, 46, 50, 56, 48, 37, 48, 50, 53, 41, 39, 58, 47, 47, 49],
+        ("-0x1.8400ea442cd73p-7", "0x1.484a8bb7a27ddp-8"),
+        ("-0x1.edf170209e6f6p-7", "0x1.6c29bb32b0da3p-8"),
+    ),
+    ("fixed_shots", 2, 1): (
+        [255, 145],
+        ("0x1.199999999999ap-2", "0x1.89cebbed329fcp-5"),
+        ("0x1.6000000000000p-2", "0x1.ae0a3d516df24p-5"),
+    ),
+    ("fixed_shots", 2, 7): (
+        [251, 149],
+        ("0x1.051eb851eb852p-2", "0x1.8c0f1e3fc11a3p-5"),
+        ("0x1.4666666666666p-2", "0x1.b20f475abc2b0p-5"),
+    ),
+    ("fixed_shots", 2, 4294967295): (
+        [249, 151],
+        ("0x1.f5c28f5c28f5cp-3", "0x1.8d1ddcf8b4d89p-5"),
+        ("0x1.399999999999ap-2", "0x1.b3f16196d58c9p-5"),
+    ),
+    ("fixed_shots", 16, 1): (
+        [45, 45, 29, 48, 53, 56, 42, 56, 59, 66, 46, 36, 47, 52, 69, 51],
+        ("-0x1.47ae147ae147bp-6", "0x1.2efe47680466ap-8"),
+        ("-0x1.999999999999ap-6", "0x1.481b3c536d5bap-8"),
+    ),
+    ("fixed_shots", 16, 7): (
+        [59, 40, 33, 61, 56, 53, 44, 50, 46, 44, 52, 46, 62, 60, 45, 49],
+        ("-0x1.f92c5f92c5f94p-7", "0x1.371740d46fb57p-8"),
+        ("-0x1.3bbbbbbbbbbbdp-6", "0x1.543dacd6d22a9p-8"),
+    ),
+    ("fixed_shots", 16, 4294967295): (
+        [56, 42, 56, 45, 51, 66, 42, 52, 52, 54, 46, 41, 43, 49, 44, 61],
+        ("-0x1.0369d0369d038p-7", "0x1.432730a1661a8p-8"),
+        ("-0x1.4444444444446p-7", "0x1.65e39ff92fcdbp-8"),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", CAMPAIGN_PINS, ids=lambda key: "-".join(map(str, key)))
+def test_campaign_counts_and_contrasts_are_pinned(key):
+    mode, d, seed = key
+    mask, family, total = CAMPAIGN_SETUPS[d]
+    result = sample_campaign(
+        CampaignConfig(
+            mask=ObjectMask(mask), family=family, mode=mode, total=total,
+            accidental_fraction=0.2, seed=seed,
+        )
+    )
+    counts, raw, corrected = CAMPAIGN_PINS[key]
+    note = f" (sampled with numpy {np.__version__})"
+    assert result.counts.pixels.tolist() == counts, f"{key}: counts changed{note}"
+    assert (result.raw_contrast.value.hex(), result.raw_contrast.sigma.hex()) == raw
+    assert (
+        result.corrected_contrast.value.hex(), result.corrected_contrast.sigma.hex()
+    ) == corrected
