@@ -69,15 +69,12 @@ class Image:
             raise ValueError(f"image kind must be one of {_KINDS}, got {kind!r}")
         source = np.asarray(pixels)
         # raw detector counts keep their integer dtype; everything else is real
-        if np.issubdtype(source.dtype, np.integer):
-            values = source.astype(np.int64)
-        else:
-            values = source.astype(float)
+        values = source.astype(np.int64 if source.dtype.kind in "iu" else float)
         if values.ndim != 1 or values.size < 2:
             raise ValueError(f"image must be a 1-D vector of at least 2 pixels, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise ValueError("image pixels must be finite")
-        if np.any(values < 0):
+        if values.min() < 0:
             raise ValueError("image pixels must be nonnegative")
         values.setflags(write=False)
         self._pixels = values
@@ -174,16 +171,17 @@ def analytic_image(mask: ObjectMask, family: Projection) -> Image:
     """
     if not isinstance(family, Projection):
         raise ValueError(f"expected a Projection member, got {family!r}")
-    d = mask.d
-    budget = mask.budget
-    u = mask.as_array()
+    return Image.from_rational(*_closed_form(mask, family), family=family)
+
+
+def _closed_form(mask: ObjectMask, family: Projection) -> tuple[np.ndarray, int]:
+    """Integer pixel numerators of the closed-form image and their denominator 2 d^2."""
+    u, denominator = mask.as_array(), 2 * mask.d**2
     if family in (Projection.PSI_MINUS, Projection.PSI_PLUS, Projection.ANTI_SYMMETRIC):
-        numer = budget - u
-    elif family is Projection.PHI:
-        numer = 2 * u
-    else:
-        numer = budget + u
-    return Image.from_rational(numer, 2 * d * d, family=family)
+        return mask.budget - u, denominator
+    if family is Projection.PHI:
+        return 2 * u, denominator
+    return mask.budget + u, denominator
 
 
 def projection_probability(d: int, family: Projection) -> float:
@@ -250,15 +248,16 @@ def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
 
 
 def _contrast_rows(values: np.ndarray, bright: np.ndarray) -> np.ndarray:
-    """(mean over bright pixels - mean over dark pixels) / total, per row of values.
-
-    A zero total raises DegenerateMaskError. numpy sums a stack of rows in
-    another order than a lone row, so bit-exact 1-D results need one row a call.
+    """(mean over bright pixels - mean over dark pixels) / total, of a pixel vector
+    or per row of a stack. A zero total raises DegenerateMaskError. numpy sums a
+    stack of rows in another order than a lone vector, so bit-exact 1-D results
+    need one vector a call. A mean is a float sum over a count, as in ndarray.mean.
     """
-    totals = values.sum(axis=1)
+    totals = values.sum(axis=-1)
     if not (totals > 0).all():
         raise DegenerateMaskError("image total is zero; contrast is undefined")
-    return (values[:, bright].mean(axis=1) - values[:, ~bright].mean(axis=1)) / totals
+    on, off = values[..., bright], values[..., ~bright]
+    return (on.sum(-1, float) / on.shape[-1] - off.sum(-1, float) / off.shape[-1]) / totals
 
 
 def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
@@ -274,5 +273,4 @@ def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastVa
     if values.size != mask.d:
         raise ValueError(f"image has {values.size} pixels but mask has {mask.d}")
     _require_contrast(mask.d, mask.budget)
-    value = _contrast_rows(values[None, :], mask.as_array() == 1)[0]
-    return ContrastValue(float(value), 0.0)
+    return ContrastValue(float(_contrast_rows(values, mask.as_array() == 1)), 0.0)

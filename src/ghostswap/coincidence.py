@@ -22,9 +22,9 @@ import numpy as np
 from ghostswap.analytic import (
     ContrastValue,
     Image,
+    _closed_form,
     _contrast_rows,
     _require_contrast,
-    analytic_image,
 )
 from ghostswap.hilbert import ObjectMask, Projection
 
@@ -127,10 +127,11 @@ class CampaignResult:
 
 def _expected_counts(config: CampaignConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel expected counts and the uniform accidental floor."""
-    image = analytic_image(config.mask, config.family)
+    numerators, denominator = _closed_form(config.mask, config.family)
+    pixels = numerators / denominator
     total = float(config.total)
     fraction = float(config.accidental_fraction)
-    signal = image.pixels * (total / image.total)
+    signal = pixels * (total / float(pixels.sum()))
     accidental = np.full(config.mask.d, fraction * total / config.mask.d)
     return (1.0 - fraction) * signal + accidental, accidental
 
@@ -140,8 +141,9 @@ def _poisson_draws(seed: int, means: np.ndarray) -> np.ndarray:
     in one call from child k of the seed, so no draw depends on the means of
     other blocks or on the order in which blocks are evaluated."""
     counts = np.empty(means.size, dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(-(-means.size // _BLOCK))
-    for k, child in enumerate(children):
+    for k in range(-(-means.size // _BLOCK)):
+        # the state of SeedSequence(seed).spawn(n)[k], without its siblings
+        child = np.random.SeedSequence(seed, spawn_key=(k,))
         block = slice(k * _BLOCK, (k + 1) * _BLOCK)
         counts[block] = np.random.default_rng(child).poisson(means[block])
     return counts
@@ -163,21 +165,24 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
         counts = _poisson_draws(config.seed, means)
     else:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        counts = rng.multinomial(int(config.total), means / means.sum()).astype(np.int64)
-    counts_image = Image(counts, kind="counts", family=config.family)
-    corrected_image = subtract_accidentals(counts_image, accidental)
+        counts = rng.multinomial(int(config.total), means / means.sum())
+    # subtract_accidentals without re-checking a floor built from a checked config
+    corrected = np.maximum(counts - accidental, 0.0)
+    raw_contrast, corrected_contrast = _propagated_contrasts(
+        config.mask, counts.astype(float), corrected
+    )
     return CampaignResult(
-        counts=counts_image,
-        corrected_counts=corrected_image,
-        raw_contrast=_propagated_contrast(counts.astype(float), config.mask),
-        corrected_contrast=_propagated_contrast(corrected_image.pixels, config.mask),
+        counts=Image(counts, kind="counts", family=config.family),
+        corrected_counts=Image(corrected, kind="counts", family=config.family),
+        raw_contrast=raw_contrast,
+        corrected_contrast=corrected_contrast,
         accidental_estimate=accidental,
         seed=config.seed,
     )
 
 
-def _propagated_contrast(values: np.ndarray, mask: ObjectMask) -> ContrastValue:
-    """Contrast of one count vector with first-order Poisson error propagation.
+def _propagated_contrasts(mask: ObjectMask, *vectors: np.ndarray) -> list[ContrastValue]:
+    """Contrast of each count vector with first-order Poisson error propagation.
 
     Each pixel is treated as an independent Poisson count with variance
     equal to its value; the derivative of the contrast with respect to
@@ -185,36 +190,37 @@ def _propagated_contrast(values: np.ndarray, mask: ObjectMask) -> ContrastValue:
     and -1/n_dark on dark ones. The inputs are not checked.
     """
     bright = mask.as_array() == 1
-    value = float(_contrast_rows(values[None, :], bright)[0])
-    n_bright = mask.budget
-    n_dark = mask.d - n_bright
-    total = float(values.sum())
-    weights = np.where(bright, 1.0 / n_bright, -1.0 / n_dark)
-    derivatives = (weights - value) / total
-    variance = float((derivatives**2 * values).sum())
-    return ContrastValue(value, float(np.sqrt(variance)))
+    weights = np.where(bright, 1.0 / mask.budget, -1.0 / (mask.d - mask.budget))
+    contrasts = []
+    for values in vectors:
+        value = float(_contrast_rows(values, bright))
+        derivatives = (weights - value) / float(values.sum())
+        variance = float((derivatives**2 * values).sum())
+        contrasts.append(ContrastValue(value, float(np.sqrt(variance))))
+    return contrasts
 
 
 def _as_count_values(counts: Image | np.ndarray, mask: ObjectMask) -> np.ndarray:
-    values = counts.pixels if isinstance(counts, Image) else np.asarray(counts)
-    values = np.asarray(values, dtype=float)
+    source = counts.pixels if isinstance(counts, Image) else np.asarray(counts)
+    values = np.asarray(source, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"expected a 1-D count vector, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("counts must be finite")
-    if np.any(values < 0):
-        raise ValueError("counts must be nonnegative")
-    if np.any(values != np.floor(values)):
-        raise ValueError("counts must be whole numbers")
     if values.size != mask.d:
         raise ValueError(f"counts have {values.size} pixels but mask has {mask.d}")
+    whole = source.dtype.kind in "biu"  # integer and boolean counts are whole and finite
+    if not whole and not np.isfinite(values).all():
+        raise ValueError("counts must be finite")
+    if values.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    if not whole and (values != np.floor(values)).any():
+        raise ValueError("counts must be whole numbers")
     _require_contrast(mask.d, mask.budget)
     return values
 
 
 def estimate_contrast(counts: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
     """Contrast of raw detector counts with propagated Poisson sigma."""
-    return _propagated_contrast(_as_count_values(counts, mask), mask)
+    return _propagated_contrasts(mask, _as_count_values(counts, mask))[0]
 
 
 def bootstrap_contrast_sigma(
@@ -234,7 +240,8 @@ def bootstrap_contrast_sigma(
         raise ValueError(f"need at least 2 resamples, got {resamples}")
     rng = np.random.default_rng(np.random.SeedSequence(_validate_seed(seed)))
     draws = rng.poisson(lam=values, size=(int(resamples), values.size)).astype(float)
-    draws = draws[draws.sum(axis=1) > 0]
+    if not (nonempty := draws.sum(axis=1) > 0).all():
+        draws = draws[nonempty]
     if len(draws) < 2:
         raise ValueError("all resamples were empty; counts are too small to bootstrap")
     contrasts = _contrast_rows(draws, mask.as_array() == 1)
@@ -252,12 +259,12 @@ def subtract_accidentals(
     values = counts.pixels if isinstance(counts, Image) else np.asarray(counts)
     values = np.asarray(values, dtype=float)
     estimate = np.broadcast_to(np.asarray(accidental, dtype=float), values.shape)
-    if not np.all(np.isfinite(estimate)):
+    if not np.isfinite(estimate).all():
         raise ValueError("accidental estimate must be finite")
-    if np.any(estimate < 0):
+    if (estimate < 0).any():
         raise ValueError("accidental estimate must be nonnegative")
     family = counts.family if isinstance(counts, Image) else None
-    return Image(np.clip(values - estimate, 0.0, None), kind="counts", family=family)
+    return Image(np.maximum(values - estimate, 0.0), kind="counts", family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@ library's propagation formula.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
+from conftest import random_mask
 
+import ghostswap.analytic
 from ghostswap.analytic import Image, analytic_contrast, analytic_image, contrast_of_image
 from ghostswap.coincidence import (
     MAX_SCAN_DELAYS,
     CampaignConfig,
     CampaignResult,
     HomScanResult,
+    _propagated_contrasts,
     antisymmetric_weight,
     bootstrap_contrast_sigma,
     estimate_contrast,
@@ -199,6 +204,101 @@ def test_campaign_result_matches_public_estimators(d, mode):
     assert result.corrected_counts.kind == "counts"
     corrected_value = contrast_of_image(result.corrected_counts, config.mask).value
     assert corrected_value == result.corrected_contrast.value
+
+
+def _composed_campaign(config):
+    """A campaign put together from public parts and numpy alone: the closed-form
+    image, the seed's spawned children, Image, subtract_accidentals and
+    estimate_contrast, as sample_campaign once composed them."""
+    image = analytic_image(config.mask, config.family)
+    total, fraction, d = float(config.total), config.accidental_fraction, config.mask.d
+    accidental = np.full(d, fraction * total / d)
+    means = (1.0 - fraction) * image.pixels * (total / image.total) + accidental
+    if config.mode == "fixed_time":
+        children = np.random.SeedSequence(config.seed).spawn(-(-d // 4096))
+        draws = [
+            np.random.default_rng(child).poisson(means[k * 4096:(k + 1) * 4096])
+            for k, child in enumerate(children)
+        ]
+        counts = Image(np.concatenate(draws), kind="counts", family=config.family)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+        draw = rng.multinomial(int(config.total), means / means.sum())
+        counts = Image(draw, kind="counts", family=config.family)
+    corrected = subtract_accidentals(counts, accidental)
+    raw_contrast = estimate_contrast(counts, config.mask)
+    return counts, corrected, accidental, raw_contrast, _propagated_contrasts(
+        config.mask, corrected.pixels
+    )[0]
+
+
+def _bits(contrast):
+    return contrast.value.hex(), contrast.sigma.hex()
+
+
+@pytest.mark.parametrize("mode", ["fixed_time", "fixed_shots"])
+@pytest.mark.parametrize("d", [2, 16, 256, 4095, 4096, 4097, 8193])
+def test_campaign_is_bit_identical_to_its_public_composition(d, mode):
+    rng = np.random.default_rng(d)
+    for family in Projection:
+        for fraction in (0.0, 0.05, 0.2):
+            total = 41 * d
+            config = CampaignConfig(
+                mask=random_mask(rng, d), family=family, mode=mode,
+                total=total if mode == "fixed_shots" else float(total),
+                accidental_fraction=fraction, seed=int(rng.integers(2**32)),
+            )
+            result = sample_campaign(config)
+            counts, corrected, accidental, raw, corrected_contrast = _composed_campaign(config)
+            case = (family.value, fraction)
+            assert result.counts.pixels.dtype == np.int64, case
+            assert result.counts.pixels.tobytes() == counts.pixels.tobytes(), case
+            assert result.corrected_counts.pixels.tobytes() == corrected.pixels.tobytes(), case
+            assert result.accidental_estimate.tobytes() == accidental.tobytes(), case
+            for image in (result.counts, result.corrected_counts):
+                assert (image.kind, image.family) == ("counts", family), case
+                assert not image.pixels.flags.writeable, case
+            assert _bits(result.raw_contrast) == _bits(raw), case
+            assert _bits(result.corrected_contrast) == _bits(corrected_contrast), case
+
+
+def test_campaign_cost_model(monkeypatch):
+    # a campaign builds no closed-form Image and one SeedSequence per block of
+    # 4096 pixels, child k keyed as SeedSequence(seed).spawn(n)[k] is
+    closed_forms, sequences = [], []
+    real_image, real_sequence = ghostswap.analytic.analytic_image, np.random.SeedSequence
+
+    def counting_image(*args, **kwargs):
+        closed_forms.append(1)
+        return real_image(*args, **kwargs)
+
+    def recording_sequence(*args, **kwargs):
+        sequences.append(real_sequence(*args, **kwargs))
+        return sequences[-1]
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ghostswap")]:
+        if getattr(module, "analytic_image", None) is real_image:
+            monkeypatch.setattr(module, "analytic_image", counting_image)
+    monkeypatch.setattr(np.random, "SeedSequence", recording_sequence)
+    d = 2 * 4096 + 5
+    for mode in ("fixed_time", "fixed_shots"):
+        sequences.clear()
+        sample_campaign(
+            CampaignConfig(
+                mask=ObjectMask.half_on(d), family=Projection.SYMMETRIC, mode=mode,
+                total=30 * d, accidental_fraction=0.2, seed=11,
+            )
+        )
+        keys = [(seq.entropy, seq.spawn_key) for seq in sequences]
+        if mode == "fixed_time":
+            assert keys == [(11, (0,)), (11, (1,)), (11, (2,))]
+        else:
+            assert keys == [(11, ())]
+    assert closed_forms == []
+    spawned = real_sequence(11).spawn(3)
+    for k, child in enumerate(spawned):
+        state = real_sequence(11, spawn_key=(k,)).generate_state(8)
+        assert np.array_equal(state, child.generate_state(8))
 
 
 def test_campaign_contrast_is_exact_when_bright_counts_vanish():
