@@ -142,14 +142,16 @@ class ObjectMask:
             raise ValueError(f"mask must be a 1-D sequence of at least 2 pixels, got shape {array.shape}")
         if array.dtype.kind not in "iuf":
             raise ValueError(f"mask values must be numbers, got dtype {array.dtype}")
-        bad = np.flatnonzero((array != 0) & (array != 1))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"mask values must be 0 or 1, got {array[k].item()!r} at pixel {k + 1}")
+        # an integer is 0 or 1 when no bit above the lowest is set
+        if array.dtype.kind == "f" or np.count_nonzero(array >> 1):
+            bad = np.flatnonzero((array != 0) & (array != 1))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(f"mask values must be 0 or 1, got {array[k].item()!r} at pixel {k + 1}")
         array = array.astype(np.int64)
         array.setflags(write=False)
         self._array = array
-        self._budget = int(array.sum())
+        self._budget = int(np.count_nonzero(array))
 
     @classmethod
     def half_on(cls, d: int) -> "ObjectMask":
