@@ -168,9 +168,9 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
         counts = rng.multinomial(int(config.total), means / means.sum())
     # subtract_accidentals without re-checking a floor built from a checked config
     corrected = np.maximum(counts - accidental, 0.0)
-    raw_contrast, corrected_contrast = _propagated_contrasts(
-        config.mask, counts.astype(float), corrected
-    )
+    # the floor is a constant, so a corrected pixel varies as its raw count does
+    raw = counts.astype(float)
+    raw_contrast, corrected_contrast = _propagated_contrasts(config.mask, raw, raw, corrected)
     return CampaignResult(
         counts=Image(counts, kind="counts", family=config.family),
         corrected_counts=Image(corrected, kind="counts", family=config.family),
@@ -181,13 +181,15 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
     )
 
 
-def _propagated_contrasts(mask: ObjectMask, *vectors: np.ndarray) -> list[ContrastValue]:
-    """Contrast of each count vector with first-order Poisson error propagation.
+def _propagated_contrasts(
+    mask: ObjectMask, variances: np.ndarray, *vectors: np.ndarray
+) -> list[ContrastValue]:
+    """Contrast of each count vector with first-order error propagation.
 
-    Each pixel is treated as an independent Poisson count with variance
-    equal to its value; the derivative of the contrast with respect to
-    pixel k is (w_k - C) / total with w_k = +1/n_bright on bright pixels
-    and -1/n_dark on dark ones. The inputs are not checked.
+    Pixel k is treated as an independent count with variance variances[k];
+    the derivative of a vector's contrast C with respect to pixel k is
+    (w_k - C) / total at that vector's values, with w_k = +1/n_bright on
+    bright pixels and -1/n_dark on dark ones. The inputs are not checked.
     """
     bright = mask.as_array() == 1
     weights = np.where(bright, 1.0 / mask.budget, -1.0 / (mask.d - mask.budget))
@@ -195,7 +197,7 @@ def _propagated_contrasts(mask: ObjectMask, *vectors: np.ndarray) -> list[Contra
     for values in vectors:
         value = float(_contrast_rows(values, bright))
         derivatives = (weights - value) / float(values.sum())
-        variance = float((derivatives**2 * values).sum())
+        variance = float((derivatives**2 * variances).sum())
         contrasts.append(ContrastValue(value, float(np.sqrt(variance))))
     return contrasts
 
@@ -220,7 +222,8 @@ def _as_count_values(counts: Image | np.ndarray, mask: ObjectMask) -> np.ndarray
 
 def estimate_contrast(counts: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
     """Contrast of raw detector counts with propagated Poisson sigma."""
-    return _propagated_contrasts(mask, _as_count_values(counts, mask))[0]
+    values = _as_count_values(counts, mask)
+    return _propagated_contrasts(mask, values, values)[0]
 
 
 def bootstrap_contrast_sigma(

@@ -207,9 +207,10 @@ def test_campaign_result_matches_public_estimators(d, mode):
 
 
 def _composed_campaign(config):
-    """A campaign put together from public parts and numpy alone: the closed-form
-    image, the seed's spawned children, Image, subtract_accidentals and
-    estimate_contrast, as sample_campaign once composed them."""
+    """A campaign put together from public parts and numpy: the closed-form
+    image, the seed's spawned children, Image, subtract_accidentals, and
+    estimate_contrast for the raw contrast; the corrected contrast is
+    propagated at the corrected pixels with the raw counts as variances."""
     image = analytic_image(config.mask, config.family)
     total, fraction, d = float(config.total), config.accidental_fraction, config.mask.d
     accidental = np.full(d, fraction * total / d)
@@ -226,10 +227,10 @@ def _composed_campaign(config):
         draw = rng.multinomial(int(config.total), means / means.sum())
         counts = Image(draw, kind="counts", family=config.family)
     corrected = subtract_accidentals(counts, accidental)
-    raw_contrast = estimate_contrast(counts, config.mask)
-    return counts, corrected, accidental, raw_contrast, _propagated_contrasts(
-        config.mask, corrected.pixels
-    )[0]
+    (corrected_contrast,) = _propagated_contrasts(
+        config.mask, counts.pixels.astype(float), corrected.pixels
+    )
+    return counts, corrected, accidental, estimate_contrast(counts, config.mask), corrected_contrast
 
 
 def _bits(contrast):
@@ -299,6 +300,27 @@ def test_campaign_cost_model(monkeypatch):
     for k, child in enumerate(spawned):
         state = real_sequence(11, spawn_key=(k,)).generate_state(8)
         assert np.array_equal(state, child.generate_state(8))
+
+
+def test_corrected_contrast_sigma_is_calibrated():
+    # the accidental floor is a constant, so a corrected pixel varies as its
+    # raw count does: with half the events accidental, the corrected sigma
+    # covers the closed-form contrast at the one-sigma rate and matches the
+    # spread of 1000 campaigns
+    mask = ObjectMask.half_on(16)
+    truth = analytic_contrast(16, mask.budget, Projection.ANTI_SYMMETRIC).value
+    values, sigmas = np.empty(1000), np.empty(1000)
+    for seed in range(values.size):
+        corrected = sample_campaign(
+            CampaignConfig(
+                mask=mask, family=Projection.ANTI_SYMMETRIC, mode="fixed_time",
+                total=6400.0, accidental_fraction=0.5, seed=seed,
+            )
+        ).corrected_contrast
+        values[seed], sigmas[seed] = corrected.value, corrected.sigma
+    coverage = np.mean(np.abs(values - truth) <= sigmas)
+    assert abs(coverage - 0.683) <= 4 * np.sqrt(0.683 * 0.317 / values.size)
+    assert 0.9 <= values.std(ddof=1) / np.median(sigmas) <= 1.1
 
 
 def test_campaign_contrast_is_exact_when_bright_counts_vanish():

@@ -94,7 +94,7 @@ DIGESTS = {
         "analytic.pgm": "80bc63c0bddf85f3a999abf64f85c6e431ebb0166fbf0ced0dec1bbe2b619b92",
         "image_records.csv": "a08ddd905311977a51b23e4d8848a4797f825f229120d93a2832fa2f49a2e227",
         "sampled.pgm": "2e7c0d9abec490b4ab3e02ff906ce5bba05959ef8486542c08aef6f9aa59bb3d",
-        "summary.json": "2e56d5a2f34e5492fb95ad45f4d270149d69a371c9897f877c6fc18c3f938c18",
+        "summary.json": "c4521d30a4c218a5567f8255795b153f946f7b1b9a3ec87f40788a0c1bc04b71",
     },
     "image-analytic-only": {
         "analytic.pgm": "d195d6fa5546408b8bfc06d7b0a4031df2f44f942a1643f7322d6ac4c1f4be80",
@@ -105,13 +105,13 @@ DIGESTS = {
         "analytic.pgm": "46455a2657d0cc16e1af31c2651e70bd0ea4fe48e8d641a13bbdd39914d14d67",
         "image_records.csv": "2cadd4e860c0564c765bbeaf4fa3438a971a126d210d3b1ef3391d35306fda7b",
         "sampled.pgm": "5d629ac727806367039fd83ca8eae661e58a983556a74ed042ccdb053b452d51",
-        "summary.json": "d3a6e4066f13603e1e7975af325c6de0178db2822f17740ae214c92e610421c8",
+        "summary.json": "e0ae4812765463eda417e8ad1a5377446266e6ad997ea51844ce34760ce4907c",
     },
     "image-block-boundary": {
         "analytic.pgm": "4e95d42eedd14a9cfb0c8f4b7d2ec572fc028beb4e1f3c1f7d2ce06c78500ff5",
         "image_records.csv": "de6375b3c1cbbad882ff71c61cc035446f4ad36c8c6bf4f2db5929fca143c7eb",
         "sampled.pgm": "dc7106c7e32c4b4f96dc117c0a38398e1c446ac7cae9a2d928aa4e3ba3ca8f74",
-        "summary.json": "a72e82b04fab688cbfa7bf3bb2b90c473a2a3d22b5261b536b4f2db524a9e136",
+        "summary.json": "a147a98cba760a76b874f764616313a9d394f3bd40cd954940464287f6695453",
     },
     "figure2-budget": {
         "anti_symmetric.csv": "cc4f42fc04481ea97bd63f1fd4a457428c8aec4b0f5cb0f6ee332dffb947aa18",
@@ -209,62 +209,62 @@ CAMPAIGN_PINS = {
     ("fixed_time", 2, 1): (
         [263, 152],
         ("0x1.11e39fc4c7dd7p-2", "0x1.837a765b9fecap-5"),
-        ("0x1.534ba75aeff3cp-2", "0x1.a64b1477caa4cp-5"),
+        ("0x1.534ba75aeff3cp-2", "0x1.e110614872e09p-5"),
     ),
     ("fixed_time", 2, 7): (
         [268, 150],
         ("0x1.21125f8a6956fp-2", "0x1.806309d604f04p-5"),
-        ("0x1.657dba51cc7f4p-2", "0x1.a18cd75191fc3p-5"),
+        ("0x1.657dba51cc7f4p-2", "0x1.dc84813af4af9p-5"),
     ),
     ("fixed_time", 2, 4294967295): (
         [223, 140],
         ("0x1.d44685fe96eb9p-3", "0x1.a293fb207a19bp-5"),
-        ("0x1.2c5338fd4945ap-2", "0x1.d18ca9aa81ba0p-5"),
+        ("0x1.2c5338fd4945ap-2", "0x1.0d0b05d07199dp-4"),
     ),
     ("fixed_time", 16, 1): (
         [57, 45, 32, 44, 52, 49, 47, 49, 60, 56, 61, 60, 57, 51, 61, 62],
         ("-0x1.5a98d9d67f577p-7", "0x1.36ca965fef436p-8"),
-        ("-0x1.abca86af2a1aap-7", "0x1.54f5b92061184p-8"),
+        ("-0x1.abca86af2a1aap-7", "0x1.7fa8de2ff6f08p-8"),
     ),
     ("fixed_time", 16, 7): (
         [60, 44, 47, 41, 38, 53, 41, 54, 56, 57, 51, 40, 66, 53, 43, 56],
         ("-0x1.7e4b17e4b17e6p-7", "0x1.3d4c5d2bf5fecp-8"),
-        ("-0x1.ddddddddddde0p-7", "0x1.5d633c585f6d4p-8"),
+        ("-0x1.ddddddddddde0p-7", "0x1.8cb67b8011cc8p-8"),
     ),
     ("fixed_time", 16, 4294967295): (
         [39, 38, 46, 50, 56, 48, 37, 48, 50, 53, 41, 39, 58, 47, 47, 49],
         ("-0x1.8400ea442cd73p-7", "0x1.484a8bb7a27ddp-8"),
-        ("-0x1.edf170209e6f6p-7", "0x1.6c29bb32b0da3p-8"),
+        ("-0x1.edf170209e6f6p-7", "0x1.a20b2e6e5862cp-8"),
     ),
     ("fixed_shots", 2, 1): (
         [255, 145],
         ("0x1.199999999999ap-2", "0x1.89cebbed329fcp-5"),
-        ("0x1.6000000000000p-2", "0x1.ae0a3d516df24p-5"),
+        ("0x1.6000000000000p-2", "0x1.ed843054420c1p-5"),
     ),
     ("fixed_shots", 2, 7): (
         [251, 149],
         ("0x1.051eb851eb852p-2", "0x1.8c0f1e3fc11a3p-5"),
-        ("0x1.4666666666666p-2", "0x1.b20f475abc2b0p-5"),
+        ("0x1.4666666666666p-2", "0x1.f0260c2666d80p-5"),
     ),
     ("fixed_shots", 2, 4294967295): (
         [249, 151],
         ("0x1.f5c28f5c28f5cp-3", "0x1.8d1ddcf8b4d89p-5"),
-        ("0x1.399999999999ap-2", "0x1.b3f16196d58c9p-5"),
+        ("0x1.399999999999ap-2", "0x1.f162aae21bd82p-5"),
     ),
     ("fixed_shots", 16, 1): (
         [45, 45, 29, 48, 53, 56, 42, 56, 59, 66, 46, 36, 47, 52, 69, 51],
         ("-0x1.47ae147ae147bp-6", "0x1.2efe47680466ap-8"),
-        ("-0x1.999999999999ap-6", "0x1.481b3c536d5bap-8"),
+        ("-0x1.999999999999ap-6", "0x1.7b04b2ca37ff7p-8"),
     ),
     ("fixed_shots", 16, 7): (
         [59, 40, 33, 61, 56, 53, 44, 50, 46, 44, 52, 46, 62, 60, 45, 49],
         ("-0x1.f92c5f92c5f94p-7", "0x1.371740d46fb57p-8"),
-        ("-0x1.3bbbbbbbbbbbdp-6", "0x1.543dacd6d22a9p-8"),
+        ("-0x1.3bbbbbbbbbbbdp-6", "0x1.850613387232bp-8"),
     ),
     ("fixed_shots", 16, 4294967295): (
         [56, 42, 56, 45, 51, 66, 42, 52, 52, 54, 46, 41, 43, 49, 44, 61],
         ("-0x1.0369d0369d038p-7", "0x1.432730a1661a8p-8"),
-        ("-0x1.4444444444446p-7", "0x1.65e39ff92fcdbp-8"),
+        ("-0x1.4444444444446p-7", "0x1.93fb6633482ccp-8"),
     ),
 }
 
