@@ -247,17 +247,16 @@ def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
     return ContrastValue(value, 0.0)
 
 
-def _contrast_rows(values: np.ndarray, bright: np.ndarray) -> np.ndarray:
-    """(mean over bright pixels - mean over dark pixels) / total, of a pixel vector
-    or per row of a stack. A zero total raises DegenerateMaskError. numpy sums a
-    stack of rows in another order than a lone vector, so bit-exact 1-D results
-    need one vector a call. A mean is a float sum over a count, as in ndarray.mean.
+def _vector_contrast(values: np.ndarray, bright: np.ndarray) -> np.floating:
+    """(mean over bright pixels - mean over dark pixels) / total, of a pixel vector.
+    A zero total raises DegenerateMaskError. A mean is a float sum over a
+    count, as in ndarray.mean.
     """
-    totals = values.sum(axis=-1)
-    if not (totals > 0).all():
+    total = values.sum()
+    if not total > 0:
         raise DegenerateMaskError("image total is zero; contrast is undefined")
-    on, off = values[..., bright], values[..., ~bright]
-    return (on.sum(-1, float) / on.shape[-1] - off.sum(-1, float) / off.shape[-1]) / totals
+    on, off = values[bright], values[~bright]
+    return (on.sum(dtype=float) / on.size - off.sum(dtype=float) / off.size) / total
 
 
 def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
@@ -273,4 +272,4 @@ def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastVa
     if values.size != mask.d:
         raise ValueError(f"image has {values.size} pixels but mask has {mask.d}")
     _require_contrast(mask.d, mask.budget)
-    return ContrastValue(float(_contrast_rows(values, mask.as_array() == 1)), 0.0)
+    return ContrastValue(float(_vector_contrast(values, mask.as_array() == 1)), 0.0)

@@ -64,7 +64,8 @@ def _load_object(path: str | Path) -> dict:
 def _check_keys(payload: dict, allowed: set[str], what: str) -> None:
     unknown = sorted(set(payload) - allowed)
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+        # quoted, so that a key holding a line break stays on one line
+        raise ConfigError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
 
 
 def _get_int(payload: dict, key: str, default: int | None = None) -> int | None:

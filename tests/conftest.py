@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from ghostswap.hilbert import ObjectMask
+
+# The same examples on every run, with no example database and no deadline,
+# so a tier-1 result does not depend on earlier runs or on machine speed.
+settings.register_profile("reproducible", derandomize=True, deadline=None)
+settings.load_profile("reproducible")
 
 
 def random_mask(rng: np.random.Generator, d: int, *, contrastable: bool = True) -> ObjectMask:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ghostswap.cli as cli
 from ghostswap.analytic import Image
@@ -200,6 +206,8 @@ HUGE = 10**399
         pytest.param("hom", {**HOM_JOB, "pattern_d": [0, True]}, (), id="bool-pattern"),
         pytest.param("hom", {**HOM_JOB, "delays": [float("nan"), 0.0]}, (), id="nan-delay"),
         pytest.param("hom", {**HOM_JOB, "dip_width": HUGE}, (), id="huge-dip-width"),
+        pytest.param("hom", {**HOM_JOB, "dip_width": 1e308}, (), id="dip-width-past-range"),
+        pytest.param("hom", {**HOM_JOB, "dip_width": 5e-324}, (), id="dip-width-below-range"),
         pytest.param("hom", {**HOM_JOB, "delays": [0.0, HUGE]}, (), id="huge-delay"),
         pytest.param(
             "hom", {**HOM_JOB, "delays": {"start": -1, "stop": 1, "count": 10**21}}, (),
@@ -232,6 +240,138 @@ def test_input_boundary_exits_2(tmp_path, capsys, command, payload, extra):
     assert err.startswith("ghostctl: configuration error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+
+
+FAMILIES = ["psi_minus", "psi_plus", "phi", "anti_symmetric", "symmetric"]
+
+
+def _bits(d):
+    return st.lists(st.integers(0, 1), min_size=d, max_size=d)
+
+
+@st.composite
+def _image_jobs(draw):
+    d = draw(st.integers(2, 6))
+    job = {
+        "dimension": d,
+        "mask": draw(st.one_of(_bits(d), st.sampled_from(["half_on", "quadrant_on"]))),
+        "family": draw(st.sampled_from(FAMILIES)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if draw(st.booleans()):
+        job["expected_total"] = draw(st.floats(0.5, 500.0))
+    else:
+        job["shots"] = draw(st.integers(1, 500))
+    if draw(st.booleans()):
+        job["accidental_fraction"] = draw(st.floats(0.0, 0.9))
+    return job
+
+
+@st.composite
+def _hom_jobs(draw):
+    d = draw(st.integers(2, 5))
+    delays = st.one_of(
+        st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5),
+        st.fixed_dictionaries(
+            {"start": st.floats(-5.0, 0.0), "stop": st.floats(0.0, 5.0), "count": st.integers(1, 9)}
+        ),
+    )
+    job = {
+        "dimension": d,
+        "pattern_a": draw(_bits(d)),
+        "pattern_d": draw(_bits(d)),
+        "delays": draw(delays),
+        "dip_width": draw(st.floats(0.1, 3.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+    if draw(st.booleans()):
+        job["shots_per_delay"] = draw(st.integers(1, 1000))
+    return job
+
+
+# Values that no job key should take, or that sit past a limit. Integers
+# between 50 and the dimension cap are left out, so that no valid job with
+# a mask preset or a delay grid grows past a tiny size.
+_TROUBLE = [
+    None, True, False, "", "1", "\n", -1, 0, 2**31, 2**63, -(2**63) - 1, 10**6 + 1, 10**9,
+    10**30, 10**400, -(10**400), float("nan"), float("inf"), float("-inf"), 1e308, -0.0,
+    [], {}, [[0, 1]], [True, 0], ["1", 0],
+]
+_BIG = st.integers(min_value=10**6 + 1)
+_GENERATED = st.one_of(
+    st.text(max_size=4),
+    st.integers(max_value=50),
+    _BIG,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans(), st.none()), max_size=4),
+    st.lists(st.lists(st.integers(0, 1), max_size=3), max_size=3),
+    st.dictionaries(
+        st.sampled_from(["start", "stop", "count"]), st.one_of(st.integers(-3, 9), _BIG)
+    ),
+)
+
+
+def _odd_value(draw):
+    # half of the draws are known troublemakers, the rest generated
+    return draw(st.sampled_from(_TROUBLE)) if draw(st.booleans()) else draw(_GENERATED)
+
+
+@st.composite
+def _mutated(draw, jobs):
+    job = draw(jobs)
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.one_of(st.sampled_from(sorted(job)), st.text(min_size=1, max_size=6)))
+        job[key] = _odd_value(draw)
+    if draw(st.integers(0, 9)) == 0:
+        return _odd_value(draw)  # not a JSON object at all
+    return job
+
+
+def _assert_exits_cleanly(command, payload, seed=None):
+    """Run one job; exit 0, 2 or 3, and a failure writes exactly one stderr line."""
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "job.json"
+        config.write_text(json.dumps(payload))
+        argv = [command, str(config), "--out-dir", str(Path(scratch) / "out")]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ) as err:
+            code = cli.main(argv)
+    assert code in (0, 2, 3), payload
+    if code == 0:
+        assert err.getvalue() == "", payload
+    else:
+        assert err.getvalue().startswith("ghostctl: "), payload
+        assert err.getvalue().count("\n") == 1, (payload, err.getvalue())
+
+
+@settings(max_examples=200)
+@given(
+    command=st.sampled_from(["image", "hom"]),
+    data=st.data(),
+    seed=st.one_of(st.none(), st.integers(-(2**40), 2**40)),
+)
+def test_any_job_file_exits_cleanly(command, data, seed):
+    # valid and mutated jobs alike, never a traceback
+    jobs = _image_jobs() if command == "image" else _hom_jobs()
+    _assert_exits_cleanly(command, data.draw(_mutated(jobs)), seed)
+
+
+def test_every_job_key_takes_every_troublemaker():
+    # the generated jobs above rarely draw a given troublemaker for a given
+    # key, so each pair is also run once
+    jobs = {
+        "image": [{**IMAGE_JOB, "accidental_fraction": 0.1}, {**IMAGE_JOB, "shots": 50}],
+        "hom": [{**HOM_JOB, "shots_per_delay": 20, "seed": 1}],
+    }
+    for command, bases in jobs.items():
+        for base in bases:
+            for key in [*base, "out_dir", "unknown"]:
+                for value in _TROUBLE:
+                    _assert_exits_cleanly(command, {**base, key: value})
+                _assert_exits_cleanly(command, {**base, "\n" + key: 1})
 
 
 @pytest.mark.parametrize(

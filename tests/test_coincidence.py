@@ -16,6 +16,7 @@ from conftest import random_mask
 import ghostswap.analytic
 from ghostswap.analytic import Image, analytic_contrast, analytic_image, contrast_of_image
 from ghostswap.coincidence import (
+    MAX_EVENT_TOTAL,
     MAX_SCAN_DELAYS,
     CampaignConfig,
     CampaignResult,
@@ -436,6 +437,57 @@ def test_bootstrap_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("d", [16, 64])
+def test_bootstrap_of_totals_matches_a_per_pixel_bootstrap(d):
+    # the library resamples the bright and dark totals; the reference draws
+    # every pixel, so the two agree only if the totals carry the distribution
+    rng = np.random.default_rng(d)
+    mask = random_mask(rng, d)
+    counts = rng.poisson(40.0, d) + 1
+    library = bootstrap_contrast_sigma(counts, mask, resamples=4000, seed=5)
+    reference = in_test_bootstrap_sigma(counts, mask, resamples=4000, seed=60)
+    assert library == pytest.approx(reference, rel=0.1)
+
+
+def test_bootstrap_draws_two_totals_per_resample(monkeypatch):
+    # the cost model of the bootstrap: one Poisson call of resamples x 2
+    # totals, whatever d is
+    counts = np.random.default_rng(1).poisson(50, 256)
+    calls = []
+    real = np.random.default_rng
+
+    class RecordingGenerator:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def poisson(self, lam=1.0, size=None):
+            calls.append(size)
+            return self._rng.poisson(lam, size)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda *args, **kwargs: RecordingGenerator(real(*args, **kwargs))
+    )
+    bootstrap_contrast_sigma(counts, ObjectMask.half_on(256), resamples=3000, seed=4)
+    assert calls == [(3000, 2)]
+
+
+def test_bootstrap_refuses_totals_past_the_event_cap():
+    # numpy's Poisson draw refuses means above about 9.2e18; the cap is
+    # checked on the bright and dark totals, not on single pixels
+    at_cap = np.array([MAX_EVENT_TOTAL, 5.0])
+    assert bootstrap_contrast_sigma(at_cap, ObjectMask([1, 0]), resamples=100) >= 0.0
+    for counts, mask in (
+        (np.array([1e19, 5.0]), ObjectMask([1, 0])),
+        (np.array([6e17, 6e17, 1, 1]), ObjectMask([1, 1, 0, 0])),
+        (np.array([3, 6e17, 6e17]), ObjectMask([1, 0, 0])),
+    ):
+        with pytest.raises(ValueError, match="at most 1e\\+18"):
+            bootstrap_contrast_sigma(counts, mask, resamples=100)
+
+
 def test_sigma_vanishes_when_bright_counts_vanish():
     mask = ObjectMask([1, 0])
     result = estimate_contrast(np.array([0, 220]), mask)
@@ -584,6 +636,18 @@ def test_poisson_draws_build_one_generator_per_block(monkeypatch):
     delays = np.linspace(-3.0, 3.0, 10_001)
     hom_scan(pattern, pattern, delays, dip_width=1.0, shots_per_delay=100, seed=3)
     assert len(built) == 3
+
+
+def test_hom_scan_takes_extreme_delays_and_widths():
+    # no overflow warning (pytest turns warnings into errors) and no NaN:
+    # the envelope is 1 at zero delay and 0 where the delay dwarfs the width
+    pattern = ObjectMask([1, 0])
+    for width in (1e-150, 1.0, 1e150):
+        scan = hom_scan(pattern, pattern, np.array([0.0, 1e200, -1e308]), dip_width=width)
+        assert scan.rates.tolist() == [0.0, 0.5, 0.5]
+    for width in (5e-324, 1e-151, 1e151, 1e308, float("inf"), float("nan"), 0.0, -1.0):
+        with pytest.raises(ValueError, match="dip_width must lie in"):
+            hom_scan(pattern, pattern, np.array([0.0]), dip_width=width)
 
 
 def test_all_on_patterns_are_allowed_in_hom_scan():

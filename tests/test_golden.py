@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import ghostswap.cli as cli
-from ghostswap.coincidence import CampaignConfig, sample_campaign
+from ghostswap.coincidence import CampaignConfig, bootstrap_contrast_sigma, sample_campaign
 from ghostswap.hilbert import ObjectMask, Projection
 
 IMAGE_JOB = {
@@ -286,3 +286,25 @@ def test_campaign_counts_and_contrasts_are_pinned(key):
     assert (
         result.corrected_contrast.value.hex(), result.corrected_contrast.sigma.hex()
     ) == corrected
+
+
+# float.hex of bootstrap_contrast_sigma with 10^4 resamples. The two-pixel
+# cases, bright pixel first, draw the same stream as a per-pixel bootstrap
+# did; the d = 16 case pins the draw of the bright and dark totals.
+BOOTSTRAP_PINS = {
+    ("two-pixel", 2): "0x1.c4f5716905c33p-5",
+    ("two-pixel", 77): "0x1.bbb983fe82d0ep-5",
+    ("d16", 3): "0x1.36f132b001811p-8",
+}
+BOOTSTRAP_SETUPS = {
+    "two-pixel": ([45, 175], [1, 0]),
+    "d16": (CAMPAIGN_PINS[("fixed_time", 16, 1)][0], IMAGE_JOB["mask"]),
+}
+
+
+@pytest.mark.parametrize("key", BOOTSTRAP_PINS, ids=lambda key: "-".join(map(str, key)))
+def test_bootstrap_sigma_is_pinned(key):
+    name, seed = key
+    counts, mask = BOOTSTRAP_SETUPS[name]
+    sigma = bootstrap_contrast_sigma(np.array(counts), ObjectMask(mask), resamples=10_000, seed=seed)
+    assert sigma.hex() == BOOTSTRAP_PINS[key], f"{key}: bootstrap changed (numpy {np.__version__})"

@@ -12,6 +12,7 @@ import pytest
 
 from ghostswap.io import (
     RECORD_COLUMNS,
+    _texts,
     csv_text,
     image_layout,
     parse_pgm,
@@ -247,6 +248,24 @@ JSON_PAYLOADS = {
     "big-list": {"mask": [k % 3 for k in range(10**5)]},
     "big-array": {"mask": np.arange(10**5, dtype=np.int64) % 5, "after": 1},
 }
+
+
+INT_COLUMNS = {
+    "negative": np.array([-5, 3, -5, 0, 7, -1], dtype=np.int64),
+    "uint8": np.arange(256, dtype=np.uint8)[::-1].repeat(2),
+    "int8-full-range": np.array([127, -128, 0, -128] * 8, dtype=np.int8),
+    "int8-part-range": np.array([-128, 72, 0, 72] * 20, dtype=np.int8),
+    "uint64-past-int64": np.array([2**64 - 1, 2**64 - 3, 2**64 - 1], dtype=np.uint64),
+    "wide-span": np.array([-(2**63), 2**63 - 1, 0, 5], dtype=np.int64),
+    "65k-levels": np.random.default_rng(4).integers(0, 65536, 99856),
+    "one-value": np.full(3, 9, dtype=np.int32),
+}
+
+
+@pytest.mark.parametrize("name", INT_COLUMNS)
+def test_texts_of_integers_match_str(name):
+    values = INT_COLUMNS[name]
+    assert _texts(values, str).tolist() == list(map(str, values.tolist()))
 
 
 @pytest.mark.parametrize("name", JSON_PAYLOADS)
