@@ -25,6 +25,7 @@ which evaluates to -1 / (b (d - 1)) for the anti-symmetric family and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,41 +164,47 @@ class ContrastValue:
     sigma: float
 
 
+_NUMERATORS = {
+    Projection.PSI_MINUS: lambda b: (b - 1, b),
+    Projection.PSI_PLUS: lambda b: (b - 1, b),
+    Projection.ANTI_SYMMETRIC: lambda b: (b - 1, b),
+    Projection.PHI: lambda b: (2, 0),
+    Projection.SYMMETRIC: lambda b: (b + 1, b),
+}
+
+
+def _numerators(family: Projection, budget: int) -> tuple[int, int]:
+    """Bright and dark pixel numerators over 2 d^2 of a family's image at a budget."""
+    if not isinstance(family, Projection):
+        raise ValueError(f"expected a Projection member, got {family!r}")
+    return _NUMERATORS[family](budget)
+
+
 def analytic_image(mask: ObjectMask, family: Projection) -> Image:
     """Closed-form heralded image of a mask for one projection family.
 
     Works at any dimension; no dense tensors are involved. The pixels are
     exact rationals over the common denominator 2 d^2.
     """
-    if not isinstance(family, Projection):
-        raise ValueError(f"expected a Projection member, got {family!r}")
     return Image.from_rational(*_closed_form(mask, family), family=family)
 
 
 def _closed_form(mask: ObjectMask, family: Projection) -> tuple[np.ndarray, int]:
     """Integer pixel numerators of the closed-form image and their denominator 2 d^2."""
-    u, denominator = mask.as_array(), 2 * mask.d**2
-    if family in (Projection.PSI_MINUS, Projection.PSI_PLUS, Projection.ANTI_SYMMETRIC):
-        return mask.budget - u, denominator
-    if family is Projection.PHI:
-        return 2 * u, denominator
-    return mask.budget + u, denominator
+    bright, dark = _numerators(family, mask.budget)
+    return dark + (bright - dark) * mask.as_array(), 2 * mask.d**2
 
 
 def projection_probability(d: int, family: Projection) -> float:
     """Total probability of the family outcome with no object in place.
 
     (d - 1) / (2 d) for the anti-symmetric family, (d + 1) / (2 d) for the
-    symmetric aggregate; the two sum to 1.
+    symmetric aggregate; the two sum to 1. With no object all d pixels are
+    bright.
     """
     d = validate_dimension(d)
-    if not isinstance(family, Projection):
-        raise ValueError(f"expected a Projection member, got {family!r}")
-    if family in (Projection.PSI_MINUS, Projection.PSI_PLUS, Projection.ANTI_SYMMETRIC):
-        return (d - 1) / (2 * d)
-    if family is Projection.PHI:
-        return 1 / d
-    return (d + 1) / (2 * d)
+    bright, _ = _numerators(family, d)
+    return bright / (2 * d)
 
 
 def conditional_density(mask: ObjectMask, family: Projection) -> DensityMatrix:
@@ -222,6 +229,38 @@ def _require_contrast(d: int, budget: int) -> None:
         )
 
 
+def _contrast(on, off, n_on: int, n_off: int, var_on=0.0, var_off=0.0) -> ContrastValue:
+    """Contrast C = (on/n_on - off/n_off) / T, T = on + off > 0, of a bright and
+    a dark total over n_on and n_off pixels, and its first-order sigma for
+    totals of variance var_on and var_off, the root of
+    [(1/n_on - C)^2 var_on + (1/n_off + C)^2 var_off] / T^2. Totals may be
+    arrays when no variance is given."""
+    total = on + off
+    value = (on / n_on - off / n_off) / total
+    if not (var_on or var_off):
+        return ContrastValue(value, 0.0)
+    # each derivative is divided by T before it is squared, as in a per-pixel sum
+    bright, dark = (1 / n_on - value) / total, (1 / n_off + value) / total
+    return ContrastValue(value, math.sqrt(bright * bright * var_on + dark * dark * var_off))
+
+
+def _contrasts(
+    mask: ObjectMask, variances: np.ndarray | None, *vectors: np.ndarray
+) -> list[ContrastValue]:
+    """Contrast of each pixel vector from its bright and dark sums, with a first-order
+    sigma if pixel k is an independent count of variance variances[k] (else 0).
+    A zero total raises DegenerateMaskError; inputs are not otherwise checked."""
+    sides = (bright := mask.as_array() == 1), ~bright
+    var = () if variances is None else [float(variances[side].sum()) for side in sides]
+    contrasts = []
+    for values in vectors:
+        on, off = (float(values[side].sum(dtype=float)) for side in sides)
+        if not on + off > 0:
+            raise DegenerateMaskError("image total is zero; contrast is undefined")
+        contrasts.append(_contrast(on, off, mask.budget, mask.d - mask.budget, *var))
+    return contrasts
+
+
 def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
     """Closed-form contrast for a mask with the given budget.
 
@@ -236,27 +275,8 @@ def analytic_contrast(d: int, budget: int, family: Projection) -> ContrastValue:
     if not 0 <= budget <= d:
         raise ValueError(f"budget {budget} outside 0..{d}")
     _require_contrast(d, budget)
-    if not isinstance(family, Projection):
-        raise ValueError(f"expected a Projection member, got {family!r}")
-    if family in (Projection.PSI_MINUS, Projection.PSI_PLUS, Projection.ANTI_SYMMETRIC):
-        value = -1.0 / (budget * (d - 1))
-    elif family is Projection.PHI:
-        value = 1.0 / budget
-    else:
-        value = 1.0 / (budget * (d + 1))
-    return ContrastValue(value, 0.0)
-
-
-def _vector_contrast(values: np.ndarray, bright: np.ndarray) -> np.floating:
-    """(mean over bright pixels - mean over dark pixels) / total, of a pixel vector.
-    A zero total raises DegenerateMaskError. A mean is a float sum over a
-    count, as in ndarray.mean.
-    """
-    total = values.sum()
-    if not total > 0:
-        raise DegenerateMaskError("image total is zero; contrast is undefined")
-    on, off = values[bright], values[~bright]
-    return (on.sum(dtype=float) / on.size - off.sum(dtype=float) / off.size) / total
+    bright, dark = _numerators(family, budget)
+    return _contrast(budget * bright, (d - budget) * dark, budget, d - budget)
 
 
 def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
@@ -272,4 +292,4 @@ def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastVa
     if values.size != mask.d:
         raise ValueError(f"image has {values.size} pixels but mask has {mask.d}")
     _require_contrast(mask.d, mask.budget)
-    return ContrastValue(float(_vector_contrast(values, mask.as_array() == 1)), 0.0)
+    return _contrasts(mask, None, values)[0]

@@ -46,7 +46,10 @@ FIGURE_STEMS = ("psi_minus", "psi_plus", "phi", "anti_symmetric", "symmetric", "
 
 def _out_dir(flag: str | None, config_dir: str | None) -> Path:
     path = Path(flag or config_dir or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise ConfigError(f"cannot make output directory {path}: {error.strerror}") from error
     return path
 
 
@@ -139,16 +142,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     """Panel of all five family images for one mask, with identity checks."""
     mask = _figure_mask(args)
     d, budget = mask.d, mask.budget
-    images = {
-        family.value: analytic_image(mask, family)
-        for family in (
-            Projection.PSI_MINUS,
-            Projection.PSI_PLUS,
-            Projection.PHI,
-            Projection.ANTI_SYMMETRIC,
-            Projection.SYMMETRIC,
-        )
-    }
+    images = {family.value: analytic_image(mask, family) for family in Projection}
     images["sum"] = add_images(
         images["anti_symmetric"], images["symmetric"]
     )
@@ -277,8 +271,14 @@ def cmd_contrast_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Report a malformed command line as a configuration error, exit 2."""
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghostctl",
         description="Heralded ghost images, coincidence campaigns, and delay scans.",
     )
@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as error:
         print(f"ghostctl: configuration error: {error}", file=sys.stderr)

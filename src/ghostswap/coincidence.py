@@ -9,10 +9,11 @@ from child b of SeedSequence(seed), so a draw depends only on the seed, its
 block and the means within that block, and blocks may be evaluated in any
 order or on any worker with the same result bit for bit.
 
-The contrast estimator propagates Poisson counting noise to first order.
-A parametric bootstrap is available as an independent check; it resamples
-the bright and dark totals, which carry all the contrast depends on, so
-its cost does not grow with d.
+The contrast depends on the counts only through the bright total and the
+dark total. The estimator propagates Poisson counting noise of those two
+totals to first order. A parametric bootstrap is available as an
+independent check; it resamples the two totals, so its cost does not grow
+with d.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from ghostswap.analytic import (
     ContrastValue,
     Image,
     _closed_form,
+    _contrast,
+    _contrasts,
     _require_contrast,
-    _vector_contrast,
 )
 from ghostswap.hilbert import ObjectMask, Projection
 
@@ -175,8 +177,7 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
     # subtract_accidentals without re-checking a floor built from a checked config
     corrected = np.maximum(counts - accidental, 0.0)
     # the floor is a constant, so a corrected pixel varies as its raw count does
-    raw = counts.astype(float)
-    raw_contrast, corrected_contrast = _propagated_contrasts(config.mask, raw, raw, corrected)
+    raw_contrast, corrected_contrast = _contrasts(config.mask, counts, counts, corrected)
     return CampaignResult(
         counts=Image(counts, kind="counts", family=config.family),
         corrected_counts=Image(corrected, kind="counts", family=config.family),
@@ -185,27 +186,6 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
         accidental_estimate=accidental,
         seed=config.seed,
     )
-
-
-def _propagated_contrasts(
-    mask: ObjectMask, variances: np.ndarray, *vectors: np.ndarray
-) -> list[ContrastValue]:
-    """Contrast of each count vector with first-order error propagation.
-
-    Pixel k is treated as an independent count with variance variances[k];
-    the derivative of a vector's contrast C with respect to pixel k is
-    (w_k - C) / total at that vector's values, with w_k = +1/n_bright on
-    bright pixels and -1/n_dark on dark ones. The inputs are not checked.
-    """
-    bright = mask.as_array() == 1
-    weights = np.where(bright, 1.0 / mask.budget, -1.0 / (mask.d - mask.budget))
-    contrasts = []
-    for values in vectors:
-        value = float(_vector_contrast(values, bright))
-        derivatives = (weights - value) / float(values.sum())
-        variance = float((derivatives**2 * variances).sum())
-        contrasts.append(ContrastValue(value, float(np.sqrt(variance))))
-    return contrasts
 
 
 def _as_count_values(counts: Image | np.ndarray, mask: ObjectMask) -> np.ndarray:
@@ -229,7 +209,7 @@ def _as_count_values(counts: Image | np.ndarray, mask: ObjectMask) -> np.ndarray
 def estimate_contrast(counts: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
     """Contrast of raw detector counts with propagated Poisson sigma."""
     values = _as_count_values(counts, mask)
-    return _propagated_contrasts(mask, values, values)[0]
+    return _contrasts(mask, values, values)[0]
 
 
 def bootstrap_contrast_sigma(
@@ -261,12 +241,11 @@ def bootstrap_contrast_sigma(
         )
     rng = np.random.default_rng(np.random.SeedSequence(_validate_seed(seed)))
     on, off = rng.poisson(totals, size=(int(resamples), 2)).astype(float).T
-    sums = on + off
-    if not (nonempty := sums > 0).all():
-        on, off, sums = on[nonempty], off[nonempty], sums[nonempty]
-    if sums.size < 2:
+    nonempty = on + off > 0
+    on, off = on[nonempty], off[nonempty]
+    if on.size < 2:
         raise ValueError("all resamples were empty; counts are too small to bootstrap")
-    contrasts = (on / mask.budget - off / (mask.d - mask.budget)) / sums
+    contrasts = _contrast(on, off, mask.budget, mask.d - mask.budget).value
     return float(np.std(contrasts, ddof=1))
 
 

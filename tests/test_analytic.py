@@ -182,11 +182,22 @@ def test_family_identities_are_exact():
 # projection probabilities
 # ---------------------------------------------------------------------------
 
+# Dimensions from the smallest to the cap, primes among them, for the
+# bit-exact closed-form checks
+REFERENCE_DIMENSIONS = (2, 3, 17, 4097, 999983, 10**6)
+PAIR_FAMILIES = (Projection.PSI_MINUS, Projection.PSI_PLUS, Projection.ANTI_SYMMETRIC)
+
+
 def test_projection_probabilities_reference_values():
     assert projection_probability(2, Projection.ANTI_SYMMETRIC) == 0.25
     assert projection_probability(2, Projection.SYMMETRIC) == 0.75
     assert projection_probability(4, Projection.ANTI_SYMMETRIC) == 0.375
     assert projection_probability(4, Projection.SYMMETRIC) == 0.625
+    for d in REFERENCE_DIMENSIONS:
+        for family in PAIR_FAMILIES:
+            assert projection_probability(d, family) == (d - 1) / (2 * d), (d, family)
+        assert projection_probability(d, Projection.PHI) == 1 / d, d
+        assert projection_probability(d, Projection.SYMMETRIC) == (d + 1) / (2 * d), d
 
 
 def test_projection_probabilities_sum_to_one():
@@ -275,6 +286,12 @@ def test_analytic_contrast_reference_values():
     assert analytic_contrast(100, 20, Projection.ANTI_SYMMETRIC).value == -1.0 / 1980.0
     assert analytic_contrast(100, 20, Projection.SYMMETRIC).value == 1.0 / 2020.0
     assert analytic_contrast(2, 1, Projection.ANTI_SYMMETRIC).sigma == 0.0
+    for d in REFERENCE_DIMENSIONS:
+        for b in {1, 2, d // 3, d // 2, d - 1} & set(range(1, d)):
+            for family in PAIR_FAMILIES:
+                assert analytic_contrast(d, b, family).value == -1.0 / (b * (d - 1)), (d, b, family)
+            assert analytic_contrast(d, b, Projection.PHI).value == 1.0 / b, (d, b)
+            assert analytic_contrast(d, b, Projection.SYMMETRIC).value == 1.0 / (b * (d + 1)), (d, b)
 
 
 def test_analytic_contrast_signs():

@@ -225,6 +225,11 @@ HUGE = 10**399
         pytest.param(
             "hom", {**HOM_JOB, "shots_per_delay": 100}, ("--seed", "5000000000"), id="hom-flag-big-seed"
         ),
+        pytest.param("image", IMAGE_JOB, ("--seed", "abc"), id="image-flag-seed-not-an-int"),
+        pytest.param("image", IMAGE_JOB, ("--seed", "9" * 5000), id="image-flag-seed-past-int-digits"),
+        pytest.param("image", IMAGE_JOB, ("--seed",), id="image-flag-seed-missing-value"),
+        pytest.param("hom", HOM_JOB, ("--bogus", "1"), id="hom-unknown-flag"),
+        pytest.param("figure2", [1, 0, 0, 0], ("--budget", "1.5"), id="figure2-flag-budget-not-an-int"),
     ],
 )
 def test_input_boundary_exits_2(tmp_path, capsys, command, payload, extra):
@@ -327,14 +332,48 @@ def _mutated(draw, jobs):
     return job
 
 
-def _assert_exits_cleanly(command, payload, seed=None):
-    """Run one job; exit 0, 2 or 3, and a failure writes exactly one stderr line."""
+# The arguments each subcommand needs besides a job file, then the flags
+# that the command-line fuzz may add or override
+_COMMANDS = {
+    "image": ([], ["--seed", "--analytic-only"]),
+    "hom": ([], ["--seed"]),
+    "figure2": (["--dimension", "4", "--budget", "2"], ["--dimension", "--budget", "--mask"]),
+    "contrast-curve": (
+        ["--d-min", "2", "--d-max", "6", "--budget", "1"], ["--d-min", "--d-max", "--budget"]
+    ),
+}
+# Flag values of the wrong type, past int's digit limit or a range, or
+# that are flags themselves. Integers from 10 to the dimension cap are left
+# out, so that no valid run grows past a tiny size.
+_ODD_ARGUMENTS = [
+    "abc", "", "1.5", "nan", "0x10", "-4", str(2**32), str(-(2**40)), str(10**30), "9" * 5000,
+    "--bogus", "-x", "--",
+]
+
+
+@st.composite
+def _flags(draw, command):
+    """Up to three flags: unknown ones, and known ones with odd or missing values."""
+    flags = []
+    for _ in range(draw(st.integers(0, 3))):
+        flags.append(draw(st.sampled_from([*_COMMANDS[command][1], "--bogus", "-x"])))
+        if draw(st.integers(0, 4)):  # else the value is missing
+            flags.append(draw(st.one_of(st.sampled_from(_ODD_ARGUMENTS), st.integers(-3, 9).map(str))))
+    return flags
+
+
+def _assert_exits_cleanly(command, payload, flags=()):
+    """Run one command, with a job file holding the payload unless it is
+    None; exit 0, 2 or 3, and a failure writes exactly one stderr line."""
     with tempfile.TemporaryDirectory() as scratch:
-        config = Path(scratch) / "job.json"
-        config.write_text(json.dumps(payload))
-        argv = [command, str(config), "--out-dir", str(Path(scratch) / "out")]
-        if seed is not None:
-            argv += ["--seed", str(seed)]
+        argv = [command, *_COMMANDS[command][0]]
+        if payload is not None:
+            config = Path(scratch) / "job.json"
+            config.write_text(json.dumps(payload))
+            argv.append(str(config))
+        out = Path(scratch) / "out"
+        argv += ["--out", str(out)] if command == "contrast-curve" else ["--out-dir", str(out)]
+        argv += flags
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
             io.StringIO()
         ) as err:
@@ -347,16 +386,14 @@ def _assert_exits_cleanly(command, payload, seed=None):
         assert err.getvalue().count("\n") == 1, (payload, err.getvalue())
 
 
-@settings(max_examples=200)
-@given(
-    command=st.sampled_from(["image", "hom"]),
-    data=st.data(),
-    seed=st.one_of(st.none(), st.integers(-(2**40), 2**40)),
-)
-def test_any_job_file_exits_cleanly(command, data, seed):
-    # valid and mutated jobs alike, never a traceback
-    jobs = _image_jobs() if command == "image" else _hom_jobs()
-    _assert_exits_cleanly(command, data.draw(_mutated(jobs)), seed)
+@settings(max_examples=300)
+@given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data())
+def test_any_job_file_exits_cleanly(command, data):
+    # valid and mutated jobs and command lines alike, over every
+    # subcommand, never a traceback
+    jobs = {"image": _image_jobs(), "hom": _hom_jobs()}.get(command)
+    payload = None if jobs is None else data.draw(_mutated(jobs))
+    _assert_exits_cleanly(command, payload, data.draw(_flags(command)))
 
 
 def test_every_job_key_takes_every_troublemaker():
@@ -372,6 +409,23 @@ def test_every_job_key_takes_every_troublemaker():
                 for value in _TROUBLE:
                     _assert_exits_cleanly(command, {**base, key: value})
                 _assert_exits_cleanly(command, {**base, "\n" + key: 1})
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["image", "figure2", "hom"])
+def test_out_dir_that_cannot_be_made_exits_2(tmp_path, capsys, command, below):
+    # --out-dir naming a regular file, or a directory below one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    if command == "figure2":
+        job = ["figure2", "--dimension", "4", "--budget", "1"]
+    else:
+        job = [command, str(write_config(tmp_path, IMAGE_JOB if command == "image" else HOM_JOB))]
+    assert cli.main([*job, "--out-dir", str(blocker / below)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghostctl: configuration error: cannot make output directory")
+    assert err.count("\n") == 1
+    assert blocker.read_text() == "kept"
 
 
 @pytest.mark.parametrize(

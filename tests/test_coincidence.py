@@ -7,6 +7,7 @@ library's propagation formula.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from ghostswap.coincidence import (
     CampaignConfig,
     CampaignResult,
     HomScanResult,
-    _propagated_contrasts,
+    _contrasts,
     antisymmetric_weight,
     bootstrap_contrast_sigma,
     estimate_contrast,
@@ -228,7 +229,7 @@ def _composed_campaign(config):
         draw = rng.multinomial(int(config.total), means / means.sum())
         counts = Image(draw, kind="counts", family=config.family)
     corrected = subtract_accidentals(counts, accidental)
-    (corrected_contrast,) = _propagated_contrasts(
+    (corrected_contrast,) = _contrasts(
         config.mask, counts.pixels.astype(float), corrected.pixels
     )
     return counts, corrected, accidental, estimate_contrast(counts, config.mask), corrected_contrast
@@ -493,6 +494,132 @@ def test_sigma_vanishes_when_bright_counts_vanish():
     result = estimate_contrast(np.array([0, 220]), mask)
     assert result.value == -1.0
     assert result.sigma == 0.0
+
+
+# ---------------------------------------------------------------------------
+# exact law of the raw contrast
+# ---------------------------------------------------------------------------
+
+def lattice_contrast(bright, dark, n_bright, n_dark):
+    """Raw contrast estimate and its propagated Poisson sigma at bright total
+    B and dark total D, written out here: C = (B/n_b - D/n_d) / (B + D). A
+    bright pixel's derivative is (1/n_b - C) / (B + D) and its variance its
+    count, so the bright pixels add (1/n_b - C)^2 B / (B + D)^2 to sigma^2
+    and the dark pixels (1/n_d + C)^2 D / (B + D)^2."""
+    total = bright + dark
+    contrast = (bright / n_bright - dark / n_dark) / total
+    spread = (1 / n_bright - contrast) ** 2 * bright + (1 / n_dark + contrast) ** 2 * dark
+    return contrast, np.sqrt(spread) / total
+
+
+def _log_factorials(k):
+    return np.array([math.lgamma(x + 1.0) for x in k.tolist()])
+
+
+def _truncated_poisson(mean):
+    """Counts within 12 SD of a Poisson mean and their pmf."""
+    half = 12.0 * math.sqrt(mean)
+    k = np.arange(max(0, math.floor(mean - half)), math.ceil(mean + half) + 1)
+    return k, np.exp(k * math.log(mean) - mean - _log_factorials(k))
+
+
+def _expected_totals(mask, family, total, fraction):
+    """Expected bright and dark totals of a campaign, as sample_campaign means them."""
+    image = analytic_image(mask, family)
+    means = (1.0 - fraction) * image.pixels * (total / image.total) + fraction * total / mask.d
+    bright = mask.as_array() == 1
+    return float(means[bright].sum()), float(means[~bright].sum())
+
+
+def exact_contrast_law(mask, family, mode, total, fraction):
+    """Exact law of the raw contrast estimate of a campaign, summed over the
+    bright and dark totals (B, D), on which alone the estimate depends.
+
+    In fixed_time mode B and D are independent Poissons, truncated at 12 SD;
+    in fixed_shots mode B is binomial over all of 0..N and D = N - B. The
+    outcome B + D = 0 has no contrast and is left out. Returns the contrast
+    of the expected counts, and the mean, SD, one-sigma coverage of that
+    contrast and RMS sigma of the estimate.
+    """
+    d, n_bright = mask.d, mask.budget
+    lam_b, lam_d = _expected_totals(mask, family, total, fraction)
+    truth = (lam_b / n_bright - lam_d / (d - n_bright)) / (lam_b + lam_d)
+    if mode == "fixed_shots":
+        n = int(total)
+        k = np.arange(n + 1)
+        log_fact = _log_factorials(k)
+        p = lam_b / (lam_b + lam_d)
+        log_pmf = log_fact[n] - log_fact - log_fact[::-1] + k * math.log(p) + (n - k) * math.log1p(-p)
+        blocks = [(k, n - k, np.exp(log_pmf))]
+    else:
+        kb, pb = _truncated_poisson(lam_b)
+        kd, pd = _truncated_poisson(lam_d)
+        blocks = (
+            np.broadcast_arrays(kb[i:i + 256, None], kd[None, :], np.outer(pb[i:i + 256], pd))
+            for i in range(0, kb.size, 256)
+        )
+    # weighted sums of 1, C - truth, (C - truth)^2, covered and sigma^2
+    sums = np.zeros(5)
+    for b, dark, weight in blocks:
+        keep = b + dark > 0
+        contrast, sigma = lattice_contrast(b[keep], dark[keep], n_bright, d - n_bright)
+        weight, offset = weight[keep], contrast - truth
+        sums += [
+            weight.sum(), (weight * offset).sum(), (weight * offset**2).sum(),
+            weight[np.abs(offset) <= sigma].sum(), (weight * sigma**2).sum(),
+        ]
+    _, first, second, covered, variance = sums / sums[0]
+    return {
+        "truth": truth,
+        "mean": truth + first,
+        "sd": math.sqrt(second - first**2),
+        "coverage": covered,
+        "rms_sigma": math.sqrt(variance),
+    }
+
+
+@pytest.mark.parametrize("mode", ["fixed_time", "fixed_shots"])
+@pytest.mark.parametrize("d", [4, 16, 256])
+def test_raw_contrast_sigma_is_calibrated_by_its_exact_law(d, mode):
+    # 100 d events on a half-on mask: the propagated sigma covers the
+    # contrast of the expected counts at the one-sigma rate, and its RMS is
+    # the exact SD of the estimate
+    mask = ObjectMask.half_on(d)
+    for family in (Projection.ANTI_SYMMETRIC, Projection.SYMMETRIC):
+        for fraction in (0.0, 0.5):
+            law = exact_contrast_law(mask, family, mode, 100 * d, fraction)
+            case = (family.value, fraction, law)
+            assert abs(law["coverage"] - 0.683) <= 0.03, case
+            assert 0.95 <= law["sd"] / law["rms_sigma"] <= 1.05, case
+
+
+@pytest.mark.parametrize("mode", ["fixed_time", "fixed_shots"])
+def test_lattice_contrast_is_the_library_estimate(mode):
+    # the exact law above describes estimate_contrast, not a copy of it:
+    # counts with the totals of sampled lattice points give the same value
+    # and sigma to 1e-12
+    rng = np.random.default_rng(12)
+    for d in (4, 16, 256):
+        mask = ObjectMask.half_on(d)
+        bright = mask.as_array() == 1
+        n_bright = mask.budget
+        for family in (Projection.ANTI_SYMMETRIC, Projection.SYMMETRIC):
+            lam_b, lam_d = _expected_totals(mask, family, 100 * d, 0.5)
+            for _ in range(5):
+                if mode == "fixed_shots":
+                    b = int(rng.integers(0, 100 * d + 1))
+                    dark = 100 * d - b
+                else:
+                    b, dark = (int(rng.choice(_truncated_poisson(lam)[0])) for lam in (lam_b, lam_d))
+                counts = np.zeros(d, dtype=np.int64)
+                counts[bright] = b // n_bright
+                counts[~bright] = dark // (d - n_bright)
+                counts[np.flatnonzero(bright)[0]] += b % n_bright
+                counts[np.flatnonzero(~bright)[0]] += dark % (d - n_bright)
+                estimate = estimate_contrast(counts, mask)
+                contrast, sigma = lattice_contrast(float(b), float(dark), n_bright, d - n_bright)
+                assert estimate.value == pytest.approx(contrast, rel=1e-12, abs=0.0), (d, b, dark)
+                assert estimate.sigma == pytest.approx(sigma, rel=1e-12, abs=0.0), (d, b, dark)
 
 
 # ---------------------------------------------------------------------------

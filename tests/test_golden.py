@@ -253,13 +253,13 @@ CAMPAIGN_PINS = {
     ),
     ("fixed_shots", 16, 1): (
         [45, 45, 29, 48, 53, 56, 42, 56, 59, 66, 46, 36, 47, 52, 69, 51],
-        ("-0x1.47ae147ae147bp-6", "0x1.2efe47680466ap-8"),
+        ("-0x1.47ae147ae147bp-6", "0x1.2efe476804669p-8"),
         ("-0x1.999999999999ap-6", "0x1.7b04b2ca37ff7p-8"),
     ),
     ("fixed_shots", 16, 7): (
         [59, 40, 33, 61, 56, 53, 44, 50, 46, 44, 52, 46, 62, 60, 45, 49],
         ("-0x1.f92c5f92c5f94p-7", "0x1.371740d46fb57p-8"),
-        ("-0x1.3bbbbbbbbbbbdp-6", "0x1.850613387232bp-8"),
+        ("-0x1.3bbbbbbbbbbbdp-6", "0x1.850613387232ap-8"),
     ),
     ("fixed_shots", 16, 4294967295): (
         [56, 42, 56, 45, 51, 66, 42, 52, 52, 54, 46, 41, 43, 49, 44, 61],
