@@ -19,7 +19,9 @@ from ghostswap import (
 
 def enumerated_probability(d: int, family: Projection) -> float:
     state = build_initial_state(d)
-    return sum(project_bc(state, p).weight for p in enumerate_projectors(d, (family,)))
+    return sum(
+        float((abs(project_bc(state, p)) ** 2).sum()) for p in enumerate_projectors(d, (family,))
+    )
 
 
 def main() -> None:

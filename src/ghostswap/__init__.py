@@ -36,14 +36,11 @@ from ghostswap.hilbert import (
     MAX_EXACT_DIMENSION,
     BellProjector,
     DensityMatrix,
-    FourPhotonState,
     ObjectMask,
     Projection,
-    TwoPhotonState,
     apply_object_mask,
     build_initial_state,
     enumerate_projectors,
-    joint_probability,
     project_bc,
     validate_dimension,
 )
@@ -59,14 +56,11 @@ __all__ = [
     "MAX_EXACT_DIMENSION",
     "BellProjector",
     "DensityMatrix",
-    "FourPhotonState",
     "ObjectMask",
     "Projection",
-    "TwoPhotonState",
     "apply_object_mask",
     "build_initial_state",
     "enumerate_projectors",
-    "joint_probability",
     "project_bc",
     "validate_dimension",
     "ContrastValue",

@@ -283,12 +283,13 @@ def contrast_of_image(image: Image | np.ndarray, mask: ObjectMask) -> ContrastVa
     """Contrast of per-pixel values against a mask.
 
     value = (mean over bright pixels - mean over dark pixels) / total.
+    A plain array is checked as an Image is: 1-D, finite and nonnegative.
     The sigma is 0; counting uncertainty belongs to estimators that know
     the noise model of their input.
     """
-    values = image.pixels if isinstance(image, Image) else np.asarray(image, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-D pixel vector, got shape {values.shape}")
+    if not isinstance(image, Image):
+        image = Image(np.asarray(image, dtype=float))
+    values = image.pixels
     if values.size != mask.d:
         raise ValueError(f"image has {values.size} pixels but mask has {mask.d}")
     _require_contrast(mask.d, mask.budget)

@@ -5,10 +5,12 @@ photon. The source emits the product of two maximally correlated pairs,
 
     sum_i |i>_A |i>_B / sqrt(d)  (x)  sum_j |j>_C |j>_D / sqrt(d),
 
-stored here as a dense complex tensor indexed (a, b, c, d). Keeping every
-amplitude explicit caps the dimension at MAX_EXACT_DIMENSION but makes all
-projection arithmetic exact to machine rounding, so closed-form results
-elsewhere in the package can be checked against full contractions.
+stored here as a plain read-only complex (d, d, d, d) ndarray indexed
+(a, b, c, d); projecting photons B and C leaves a read-only (d, d) ndarray
+of the amplitudes of photons A and D. Keeping every amplitude explicit caps
+the dimension at MAX_EXACT_DIMENSION but makes all projection arithmetic
+exact to machine rounding, so closed-form results elsewhere in the package
+can be checked against full contractions.
 
 Joint measurements on the inner photons B and C use a complete orthonormal
 basis of d*d states split into three families: the exchange-antisymmetric
@@ -31,15 +33,12 @@ __all__ = [
     "Projection",
     "ObjectMask",
     "BellProjector",
-    "FourPhotonState",
-    "TwoPhotonState",
     "DensityMatrix",
     "validate_dimension",
     "build_initial_state",
     "apply_object_mask",
     "enumerate_projectors",
     "project_bc",
-    "joint_probability",
 ]
 
 MAX_EXACT_DIMENSION = 16
@@ -264,9 +263,6 @@ class BellProjector:
         vec.setflags(write=False)
         return vec
 
-    def label(self) -> str:
-        return f"{self._family.value}({self._n},{self._m})"
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BellProjector)
@@ -278,96 +274,7 @@ class BellProjector:
         return hash((self._family, self._d, self._n, self._m))
 
     def __repr__(self) -> str:
-        return f"BellProjector({self.label()}, d={self._d})"
-
-
-class FourPhotonState:
-    """Dense amplitude tensor over the (A, B, C, D) position basis.
-
-    States are unnormalized in general; norm_sq caches the total squared
-    magnitude at construction. A state with norm_sq equal to zero is
-    flagged degenerate rather than rejected.
-    """
-
-    __slots__ = ("_amplitudes", "_norm_sq")
-
-    def __init__(self, amplitudes: np.ndarray) -> None:
-        amp = np.asarray(amplitudes, dtype=complex)
-        if amp.ndim != 4 or len(set(amp.shape)) != 1:
-            raise ValueError(f"amplitudes must be a (d, d, d, d) tensor, got shape {amp.shape}")
-        validate_dimension(amp.shape[0], exact=True)
-        amp = amp.copy()
-        amp.setflags(write=False)
-        self._amplitudes = amp
-        self._norm_sq = float((abs(amp) ** 2).sum())
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amplitudes
-
-    @property
-    def d(self) -> int:
-        return self._amplitudes.shape[0]
-
-    @property
-    def norm_sq(self) -> float:
-        return self._norm_sq
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self._norm_sq == 0.0
-
-    def amplitude(self, a: int, b: int, c: int, d: int) -> complex:
-        """Amplitude at 1-based basis labels (a, b, c, d)."""
-        for name, idx in (("a", a), ("b", b), ("c", c), ("d", d)):
-            if not 1 <= idx <= self.d:
-                raise ValueError(f"index {name}={idx} outside 1..{self.d}")
-        return complex(self._amplitudes[a - 1, b - 1, c - 1, d - 1])
-
-    def __repr__(self) -> str:
-        return f"FourPhotonState(d={self.d}, norm_sq={self._norm_sq:.6g})"
-
-
-class TwoPhotonState:
-    """Unnormalized amplitude matrix over the (A, D) basis after a projection.
-
-    weight caches the squared norm, which is the probability of the
-    projection outcome that produced this state.
-    """
-
-    __slots__ = ("_amplitudes", "_weight")
-
-    def __init__(self, amplitudes: np.ndarray) -> None:
-        amp = np.asarray(amplitudes, dtype=complex)
-        if amp.ndim != 2 or amp.shape[0] != amp.shape[1]:
-            raise ValueError(f"amplitudes must be a square matrix, got shape {amp.shape}")
-        validate_dimension(amp.shape[0], exact=True)
-        amp = amp.copy()
-        amp.setflags(write=False)
-        self._amplitudes = amp
-        self._weight = float((abs(amp) ** 2).sum())
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amplitudes
-
-    @property
-    def d(self) -> int:
-        return self._amplitudes.shape[0]
-
-    @property
-    def weight(self) -> float:
-        return self._weight
-
-    def amplitude(self, a: int, d: int) -> complex:
-        """Amplitude at 1-based basis labels (a, d)."""
-        for name, idx in (("a", a), ("d", d)):
-            if not 1 <= idx <= self.d:
-                raise ValueError(f"index {name}={idx} outside 1..{self.d}")
-        return complex(self._amplitudes[a - 1, d - 1])
-
-    def __repr__(self) -> str:
-        return f"TwoPhotonState(d={self.d}, weight={self._weight:.6g})"
+        return f"BellProjector({self._family.value}({self._n},{self._m}), d={self._d})"
 
 
 class DensityMatrix:
@@ -411,27 +318,35 @@ class DensityMatrix:
         return f"DensityMatrix(d={self.d}, trace={self._trace:.6g})"
 
 
-def build_initial_state(d: int) -> FourPhotonState:
-    """Product of two maximally correlated pairs, amplitude 1/d at (i, i, j, j)."""
+def build_initial_state(d: int) -> np.ndarray:
+    """Product of two maximally correlated pairs, amplitude 1/d at (i, i, j, j).
+
+    Returns the read-only complex (d, d, d, d) amplitude tensor over the
+    (A, B, C, D) basis, with squared norm 1.
+    """
     d = validate_dimension(d, exact=True)
     amp = np.zeros((d, d, d, d), dtype=complex)
     idx = np.arange(d)
     ii, jj = np.meshgrid(idx, idx, indexing="ij")
     amp[ii, ii, jj, jj] = 1.0 / d
-    return FourPhotonState(amp)
+    amp.setflags(write=False)
+    return amp
 
 
-def apply_object_mask(state: FourPhotonState, mask: ObjectMask) -> FourPhotonState:
+def apply_object_mask(state: np.ndarray, mask: ObjectMask) -> np.ndarray:
     """Scale each amplitude by the mask value at photon A's pixel.
 
-    The result is left unnormalized; applying the initial state gives a
-    squared norm of budget/d. Masking is idempotent because the values are
-    binary.
+    The result is a new read-only tensor, left unnormalized; masking the
+    initial state gives a squared norm of budget/d, and an all-zero mask an
+    all-zero state. Masking is idempotent because the values are binary.
     """
-    if mask.d != state.d:
-        raise ValueError(f"mask dimension {mask.d} does not match state dimension {state.d}")
-    factors = mask.as_array().astype(complex).reshape(-1, 1, 1, 1)
-    return FourPhotonState(state.amplitudes * factors)
+    if mask.d != state.shape[0]:
+        raise ValueError(
+            f"mask dimension {mask.d} does not match state dimension {state.shape[0]}"
+        )
+    masked = state * mask.as_array().reshape(-1, 1, 1, 1)
+    masked.setflags(write=False)
+    return masked
 
 
 def enumerate_projectors(
@@ -457,39 +372,18 @@ def enumerate_projectors(
     return tuple(out)
 
 
-def project_bc(state: FourPhotonState, projector: BellProjector) -> TwoPhotonState:
+def project_bc(state: np.ndarray, projector: BellProjector) -> np.ndarray:
     """Project photons B and C onto one basis state.
 
-    Returns the unnormalized conditional state of photons A and D,
-    phi(a, d) = sum_{b,c} conj(pi(b, c)) psi(a, b, c, d); its weight is the
-    outcome probability.
+    Returns the read-only, unnormalized conditional amplitudes of photons
+    A and D, phi(a, d) = sum_{b,c} conj(pi(b, c)) psi(a, b, c, d); their
+    squared norm is the outcome probability, and |phi(a, d)|^2 the joint
+    probability of that outcome with A at pixel a and D at pixel d.
     """
-    if projector.d != state.d:
+    if projector.d != state.shape[0]:
         raise ValueError(
-            f"projector dimension {projector.d} does not match state dimension {state.d}"
+            f"projector dimension {projector.d} does not match state dimension {state.shape[0]}"
         )
-    phi = np.einsum("bc,abcd->ad", projector.state_vector().conj(), state.amplitudes)
-    return TwoPhotonState(phi)
-
-
-def joint_probability(
-    state: FourPhotonState,
-    families: Iterable[Projection] | Projection,
-    a_pixel: int,
-    d_pixel: int,
-) -> float:
-    """Probability of detecting photon A at a_pixel and photon D at d_pixel.
-
-    Both pixels are 1-based. The central projection outcome is summed over
-    every projector in the requested families.
-    """
-    d = state.d
-    for name, idx in (("a_pixel", a_pixel), ("d_pixel", d_pixel)):
-        if not isinstance(idx, (int, np.integer)) or not 1 <= int(idx) <= d:
-            raise ValueError(f"{name}={idx!r} outside 1..{d}")
-    slab = state.amplitudes[a_pixel - 1, :, :, d_pixel - 1]
-    total = 0.0
-    for projector in enumerate_projectors(d, families):
-        amp = (projector.state_vector().conj() * slab).sum()
-        total += abs(amp) ** 2
-    return float(total)
+    phi = np.einsum("bc,abcd->ad", projector.state_vector().conj(), state)
+    phi.setflags(write=False)
+    return phi

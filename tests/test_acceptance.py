@@ -30,14 +30,13 @@ from ghostswap.coincidence import (
 from ghostswap.hilbert import (
     ObjectMask,
     Projection,
-    apply_object_mask,
     build_initial_state,
     enumerate_projectors,
     project_bc,
 )
 from ghostswap.io import read_csv
 
-from conftest import random_mask
+from conftest import norm_sq, random_mask, tensor_image
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -46,16 +45,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
         line = f"{line} ({detail})"
     print(line)
     assert ok, line
-
-
-def _tensor_image(mask: ObjectMask, family: Projection) -> np.ndarray:
-    """Heralded image by full contraction of the dense four-photon state."""
-    state = apply_object_mask(build_initial_state(mask.d), mask)
-    pixels = np.zeros(mask.d)
-    for projector in enumerate_projectors(mask.d, (family,)):
-        amplitudes = project_bc(state, projector).amplitudes
-        pixels += (np.abs(amplitudes) ** 2).sum(axis=0)
-    return pixels
 
 
 def test_01_closed_form_contrast_pins():
@@ -141,7 +130,7 @@ def test_04_closed_forms_match_tensor_contraction():
         mask = random_mask(rng, d, contrastable=False)
         family = rng.choice(list(Projection))
         gap = np.max(
-            np.abs(_tensor_image(mask, family) - analytic_image(mask, family).pixels)
+            np.abs(tensor_image(mask, family) - analytic_image(mask, family).pixels)
         )
         worst = max(worst, float(gap))
         checked += 1
@@ -161,7 +150,7 @@ def test_05_family_probabilities_by_enumeration():
         state = build_initial_state(d)
         for family in (Projection.ANTI_SYMMETRIC, Projection.SYMMETRIC, Projection.PHI):
             total = sum(
-                project_bc(state, p).weight for p in enumerate_projectors(d, (family,))
+                norm_sq(project_bc(state, p)) for p in enumerate_projectors(d, (family,))
             )
             worst = max(worst, abs(total - projection_probability(d, family)))
     ok = worst <= 1e-12

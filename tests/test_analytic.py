@@ -29,22 +29,10 @@ from ghostswap.hilbert import (
     apply_object_mask,
     build_initial_state,
     enumerate_projectors,
-    joint_probability,
     project_bc,
 )
 
-from conftest import random_mask
-
-
-def oracle_image(mask: ObjectMask, family: Projection) -> np.ndarray:
-    """Image by full contraction: sum joint probabilities over photon A."""
-    state = apply_object_mask(build_initial_state(mask.d), mask)
-    return np.array(
-        [
-            sum(joint_probability(state, (family,), a, k) for a in range(1, mask.d + 1))
-            for k in range(1, mask.d + 1)
-        ]
-    )
+from conftest import norm_sq, random_mask, tensor_image
 
 
 def oracle_density(mask: ObjectMask, family: Projection) -> np.ndarray:
@@ -53,7 +41,7 @@ def oracle_density(mask: ObjectMask, family: Projection) -> np.ndarray:
     d = mask.d
     rho = np.zeros((d, d), dtype=complex)
     for p in enumerate_projectors(d, (family,)):
-        phi = project_bc(state, p).amplitudes
+        phi = project_bc(state, p)
         for a in range(d):
             rho += np.outer(phi[a, :], phi[a, :].conj())
     return rho
@@ -139,7 +127,7 @@ def test_analytic_image_matches_oracle_on_random_masks():
             mask = random_mask(rng, d, contrastable=False)
             for family in families:
                 closed = analytic_image(mask, family).pixels
-                brute = oracle_image(mask, family)
+                brute = tensor_image(mask, family)
                 assert np.allclose(closed, brute, atol=1e-12, rtol=0.0)
 
 
@@ -212,7 +200,7 @@ def test_projection_probability_matches_brute_force():
     for d in range(2, 9):
         state = build_initial_state(d)
         for family in (Projection.ANTI_SYMMETRIC, Projection.SYMMETRIC, Projection.PHI):
-            brute = sum(project_bc(state, p).weight for p in enumerate_projectors(d, (family,)))
+            brute = sum(norm_sq(project_bc(state, p)) for p in enumerate_projectors(d, (family,)))
             assert projection_probability(d, family) == pytest.approx(brute, abs=1e-12)
 
 
@@ -355,6 +343,19 @@ def test_contrast_of_image_accepts_plain_arrays():
     value = contrast_of_image(np.array([168.0, 191.0, 98.0, 227.0]), mask).value
     # frozen: (98 - 586/3) / 684
     assert value == pytest.approx((98 - 586 / 3) / 684, abs=1e-15)
+
+
+def test_contrast_of_image_checks_plain_arrays_as_images():
+    # a plain array gets an Image's checks: a negative pixel once gave 7.0,
+    # an infinite one nan, and a nan one "image total is zero"
+    mask = ObjectMask([1, 0, 0])
+    for pixels, message in (
+        ([5.0, -5.0, 1.0], "nonnegative"),
+        ([np.inf, 1.0, 1.0], "finite"),
+        ([np.nan, 1.0, 1.0], "finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            contrast_of_image(np.array(pixels), mask)
 
 
 def test_contrast_of_image_errors():

@@ -17,18 +17,16 @@ from ghostswap.hilbert import (
     MAX_DIMENSION,
     MAX_EXACT_DIMENSION,
     BellProjector,
-    FourPhotonState,
     ObjectMask,
     Projection,
     apply_object_mask,
     build_initial_state,
     enumerate_projectors,
-    joint_probability,
     project_bc,
     validate_dimension,
 )
 
-from conftest import random_mask
+from conftest import norm_sq, random_mask
 
 
 # ---------------------------------------------------------------------------
@@ -143,16 +141,16 @@ def test_quadrant_on_requires_square_dimension():
 def test_initial_state_d2_amplitude():
     state = build_initial_state(2)
     # frozen: amplitude at (1, 1, 1, 1) is 1/d = 0.5
-    assert state.amplitude(1, 1, 1, 1) == 0.5
-    assert state.amplitude(1, 2, 1, 1) == 0.0
+    assert state[0, 0, 0, 0] == 0.5
+    assert state[0, 1, 0, 0] == 0.0
 
 
 def test_initial_state_d4_support():
     state = build_initial_state(4)
-    nonzero = np.argwhere(state.amplitudes != 0)
+    nonzero = np.argwhere(state != 0)
     # frozen by pair counting: d^2 = 16 coordinates (i, i, j, j)
     assert len(nonzero) == 16
-    assert np.all(state.amplitudes[nonzero[:, 0], nonzero[:, 1], nonzero[:, 2], nonzero[:, 3]] == 0.25)
+    assert np.all(state[nonzero[:, 0], nonzero[:, 1], nonzero[:, 2], nonzero[:, 3]] == 0.25)
     for a, b, c, dd in nonzero:
         assert a == b and c == dd
 
@@ -160,8 +158,8 @@ def test_initial_state_d4_support():
 def test_initial_state_matches_naive_oracle():
     for d in (2, 3, 5, 8):
         state = build_initial_state(d)
-        assert np.array_equal(state.amplitudes, naive_initial_amplitudes(d))
-        assert state.norm_sq == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(state, naive_initial_amplitudes(d))
+        assert norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_state_dimension_validation():
@@ -184,7 +182,7 @@ def test_dimension_cap():
 def test_state_amplitudes_are_read_only():
     state = build_initial_state(2)
     with pytest.raises(ValueError):
-        state.amplitudes[0, 0, 0, 0] = 1.0
+        state[0, 0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +195,9 @@ def test_masked_state_d2_brute_force_norm():
     # squared norm drops to budget/d = 1/2
     expected = naive_initial_amplitudes(2)
     expected[1, :, :, :] = 0.0
-    assert np.array_equal(state.amplitudes, expected)
-    assert state.norm_sq == pytest.approx(0.5, abs=1e-15)
-    assert not state.is_degenerate
+    assert np.array_equal(state, expected)
+    assert norm_sq(state) == pytest.approx(0.5, abs=1e-15)
+    assert state.any()
 
 
 def test_masked_norm_equals_budget_over_d():
@@ -208,14 +206,14 @@ def test_masked_norm_equals_budget_over_d():
         for _ in range(8):
             mask = random_mask(rng, d, contrastable=False)
             state = apply_object_mask(build_initial_state(d), mask)
-            assert state.norm_sq == pytest.approx(mask.budget / d, abs=1e-12)
+            assert norm_sq(state) == pytest.approx(mask.budget / d, abs=1e-12)
 
 
 def test_all_zero_mask_gives_degenerate_state():
     state = apply_object_mask(build_initial_state(4), ObjectMask([0, 0, 0, 0]))
-    assert state.norm_sq == 0.0
-    assert state.is_degenerate
-    assert np.all(state.amplitudes == 0)
+    assert norm_sq(state) == 0.0
+    assert not state.any()
+    assert np.all(state == 0)
 
 
 def test_mask_dimension_mismatch_rejected():
@@ -230,7 +228,7 @@ def test_mask_idempotence(d, data):
     mask = ObjectMask(bits)
     once = apply_object_mask(build_initial_state(d), mask)
     twice = apply_object_mask(once, mask)
-    assert np.array_equal(once.amplitudes, twice.amplitudes)
+    assert np.array_equal(once, twice)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +317,16 @@ def test_project_bc_unmasked_d2_weight():
     p = BellProjector(Projection.PSI_MINUS, d=2, n=1, m=2)
     two = project_bc(state, p)
     # frozen by direct contraction: weight (1+1)/(2 d^2) = 0.25
-    assert two.weight == pytest.approx(0.25, abs=1e-15)
+    assert norm_sq(two) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_project_bc_masked_d2_psi_minus():
     state = apply_object_mask(build_initial_state(2), ObjectMask([1, 0]))
     two = project_bc(state, BellProjector(Projection.PSI_MINUS, d=2, n=1, m=2))
     # frozen by direct contraction: only the (a=1, d=2) amplitude survives
-    assert two.weight == pytest.approx(0.125, abs=1e-15)
-    assert two.amplitude(1, 2) == pytest.approx(1 / (2 * np.sqrt(2)), abs=1e-15)
-    assert two.amplitude(2, 1) == 0.0
+    assert norm_sq(two) == pytest.approx(0.125, abs=1e-15)
+    assert two[0, 1] == pytest.approx(1 / (2 * np.sqrt(2)), abs=1e-15)
+    assert two[1, 0] == 0.0
 
 
 def test_project_bc_masked_d2_phi_1():
@@ -336,9 +334,9 @@ def test_project_bc_masked_d2_phi_1():
     two = project_bc(state, BellProjector(Projection.PHI, d=2, n=1, m=1))
     # frozen by direct contraction: the conditional state is proportional
     # to |1>_A |1>_D with weight 1/4
-    assert two.weight == pytest.approx(0.25, abs=1e-15)
-    assert two.amplitude(1, 1) == pytest.approx(0.5, abs=1e-15)
-    nonzero = np.argwhere(two.amplitudes != 0)
+    assert norm_sq(two) == pytest.approx(0.25, abs=1e-15)
+    assert two[0, 0] == pytest.approx(0.5, abs=1e-15)
+    nonzero = np.argwhere(two != 0)
     assert nonzero.tolist() == [[0, 0]]
 
 
@@ -347,10 +345,10 @@ def test_project_bc_matches_naive_oracle_on_random_masks():
     for d in (2, 3, 4, 6):
         state = apply_object_mask(build_initial_state(d), random_mask(rng, d))
         for p in enumerate_projectors(d):
-            expected = naive_project(state.amplitudes, p.state_vector())
+            expected = naive_project(state, p.state_vector())
             got = project_bc(state, p)
-            assert np.allclose(got.amplitudes, expected, atol=1e-14)
-            assert got.weight == pytest.approx(float((abs(expected) ** 2).sum()), abs=1e-14)
+            assert np.allclose(got, expected, atol=1e-14)
+            assert norm_sq(got) == pytest.approx(float((abs(expected) ** 2).sum()), abs=1e-14)
 
 
 def test_project_bc_dimension_mismatch():
@@ -361,20 +359,14 @@ def test_project_bc_dimension_mismatch():
 
 def test_joint_probability_masked_d2():
     state = apply_object_mask(build_initial_state(2), ObjectMask([1, 0]))
+    anti = enumerate_projectors(2, (Projection.ANTI_SYMMETRIC,))
+    sym = enumerate_projectors(2, (Projection.SYMMETRIC,))
     # frozen by the naive oracle: the anti-symmetric family puts 1/8 at
     # (a=1, d=2) and nothing anywhere else
-    assert joint_probability(state, (Projection.ANTI_SYMMETRIC,), 1, 2) == pytest.approx(0.125, abs=1e-15)
-    assert joint_probability(state, (Projection.ANTI_SYMMETRIC,), 1, 1) == 0.0
-    assert joint_probability(state, (Projection.ANTI_SYMMETRIC,), 2, 1) == 0.0
-    assert joint_probability(state, (Projection.SYMMETRIC,), 1, 1) == pytest.approx(0.25, abs=1e-15)
-
-
-def test_joint_probability_pixel_bounds():
-    state = build_initial_state(2)
-    with pytest.raises(ValueError):
-        joint_probability(state, (Projection.PHI,), 0, 1)
-    with pytest.raises(ValueError):
-        joint_probability(state, (Projection.PHI,), 1, 3)
+    assert sum(abs(project_bc(state, p)[0, 1]) ** 2 for p in anti) == pytest.approx(0.125, abs=1e-15)
+    assert sum(abs(project_bc(state, p)[0, 0]) ** 2 for p in anti) == 0.0
+    assert sum(abs(project_bc(state, p)[1, 0]) ** 2 for p in anti) == 0.0
+    assert sum(abs(project_bc(state, p)[0, 0]) ** 2 for p in sym) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_probability_conservation_over_complete_basis():
@@ -382,12 +374,12 @@ def test_probability_conservation_over_complete_basis():
     for d in range(2, 9):
         mask = random_mask(rng, d, contrastable=False)
         state = apply_object_mask(build_initial_state(d), mask)
-        total = sum(project_bc(state, p).weight for p in enumerate_projectors(d))
+        total = sum(norm_sq(project_bc(state, p)) for p in enumerate_projectors(d))
         assert total == pytest.approx(mask.budget / d, abs=1e-12)
 
 
 def test_unmasked_projection_weights_sum_to_one():
     for d in (2, 3, 4, 7):
         state = build_initial_state(d)
-        total = sum(project_bc(state, p).weight for p in enumerate_projectors(d))
+        total = sum(norm_sq(project_bc(state, p)) for p in enumerate_projectors(d))
         assert total == pytest.approx(1.0, abs=1e-12)
