@@ -249,12 +249,14 @@ def _contrasts(
 ) -> list[ContrastValue]:
     """Contrast of each pixel vector from its bright and dark sums, with a first-order
     sigma if pixel k is an independent count of variance variances[k] (else 0).
-    A zero total raises DegenerateMaskError; inputs are not otherwise checked."""
+    A zero total raises DegenerateMaskError; inputs are not otherwise checked.
+    Each sum is over a float array, so that int and float counts give the same
+    totals past 2^53: numpy's sum(dtype=float) casts in 8192-element buffers."""
     sides = (bright := mask.as_array() == 1), ~bright
-    var = () if variances is None else [float(variances[side].sum()) for side in sides]
+    var = () if variances is None else [float(variances[side].astype(float).sum()) for side in sides]
     contrasts = []
     for values in vectors:
-        on, off = (float(values[side].sum(dtype=float)) for side in sides)
+        on, off = (float(values[side].astype(float).sum()) for side in sides)
         if not on + off > 0:
             raise DegenerateMaskError("image total is zero; contrast is undefined")
         contrasts.append(_contrast(on, off, mask.budget, mask.d - mask.budget, *var))

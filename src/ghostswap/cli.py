@@ -20,7 +20,7 @@ from ghostswap.analytic import (
     analytic_contrast,
     analytic_image,
 )
-from ghostswap.coincidence import _RNG_SCHEME, hom_scan, sample_campaign
+from ghostswap.coincidence import _NOISE, _RNG_SCHEME, hom_scan, sample_campaign
 from ghostswap.configfile import (
     _library_checks,
     _parse_mask,
@@ -109,8 +109,9 @@ def cmd_image(args: argparse.Namespace) -> int:
         },
         "files": sorted(files),
     }
-    if result is not None and job.mode == "fixed_time":
-        summary["rng_scheme"] = _RNG_SCHEME
+    scheme = _NOISE[job.mode]["scheme"]
+    if result is not None and scheme is not None:
+        summary["rng_scheme"] = scheme
     write_json(out / "summary.json", summary)
     print(f"image: wrote {len(files)} files to {out}")
     return 0

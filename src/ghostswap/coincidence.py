@@ -1,19 +1,22 @@
 """Coincidence-counting campaigns, contrast estimation, and delay scans.
 
-Campaigns draw per-pixel counts around the closed-form image. Two noise
-models are provided: "fixed_time" gives each pixel an independent Poisson
-draw for a fixed integration time, "fixed_shots" distributes an exact
-number of events multinomially. Poisson draws, of pixels and of scanned
-delays alike, are keyed to the seed in fixed blocks of 4096: block b draws
-from child b of SeedSequence(seed), so a draw depends only on the seed, its
-block and the means within that block, and blocks may be evaluated in any
-order or on any worker with the same result bit for bit.
+Campaigns draw per-pixel counts around the closed-form image. The table
+_NOISE holds the two noise models, keyed by mode: "fixed_time" gives each
+pixel an independent Poisson draw for a fixed integration time,
+"fixed_shots" distributes an exact number of events multinomially. Poisson
+draws, of pixels and of scanned delays alike, are keyed to the seed in
+fixed blocks of 4096: block b draws from child b of SeedSequence(seed), so
+a draw depends only on the seed, its block and the means within that block,
+and blocks may be evaluated in any order or on any worker with the same
+result bit for bit.
 
 The contrast depends on the counts only through the bright total and the
 dark total. The estimator propagates Poisson counting noise of those two
-totals to first order. A parametric bootstrap is available as an
-independent check; it resamples the two totals, so its cost does not grow
-with d.
+totals to first order. The raw sigma is the same for both noise models:
+the contrast is homogeneous of degree 0 in the two totals, so a fixed
+event total's multinomial covariance cancels exactly what its variances
+lose. A parametric bootstrap is available as an independent check; it
+resamples the two totals, so its cost does not grow with d.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ __all__ = [
     "hom_scan",
     "rate_budget",
 ]
-
-_MODES = ("fixed_time", "fixed_shots")
 
 # numpy seed sequences take unsigned 32-bit words
 _MAX_SEED = 2**32 - 1
@@ -104,17 +105,19 @@ class CampaignConfig:
             raise ValueError(f"mask must be an ObjectMask, got {self.mask!r}")
         if not isinstance(self.family, Projection):
             raise ValueError(f"family must be a Projection member, got {self.family!r}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not isinstance(self.mode, str) or self.mode not in _NOISE:
+            raise ValueError(f"mode must be one of {tuple(_NOISE)}, got {self.mode!r}")
+        for name in ("total", "accidental_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.total <= MAX_EVENT_TOTAL:
             raise ValueError(
                 f"total must be positive and at most {MAX_EVENT_TOTAL:g}, got {self.total!r}"
             )
-        total = float(self.total)
-        if self.mode == "fixed_shots" and total != int(total):
-            raise ValueError(f"fixed_shots mode needs a whole number of events, got {total}")
-        fraction = float(self.accidental_fraction)
-        if not 0.0 <= fraction < 1.0:
+        if _NOISE[self.mode]["whole"] and self.total != int(self.total):
+            raise ValueError(f"{self.mode} mode needs a whole number of events, got {self.total}")
+        if not 0.0 <= self.accidental_fraction < 1.0:
             raise ValueError(
                 f"accidental_fraction must lie in [0, 1), got {self.accidental_fraction!r}"
             )
@@ -157,23 +160,31 @@ def _poisson_draws(seed: int, means: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _multinomial_draw(seed: int, means: np.ndarray, total: float) -> np.ndarray:
+    """An exact total of events split over the pixels in proportion to the means."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return rng.multinomial(int(total), means / means.sum())
+
+
+# Noise models by mode: the job-file key of the event total, whether that
+# total must be whole, the draw from (seed, means, total), and the
+# rng_scheme that summary.json records (None: no rng_scheme key).
+_NOISE = {
+    "fixed_time": dict(key="expected_total", whole=False, scheme=_RNG_SCHEME,
+                       draw=lambda seed, means, _: _poisson_draws(seed, means)),
+    "fixed_shots": dict(key="shots", whole=True, scheme=None, draw=_multinomial_draw),
+}
+
+
 def sample_campaign(config: CampaignConfig) -> CampaignResult:
     """Draw one campaign and estimate its contrasts.
 
-    fixed_time mode draws pixels in blocks of 4096, block k from child k
-    of the seed, so the counts never depend on evaluation order or worker
-    count, and a pixel's count depends only on the seed and the expected
-    counts of its own block. fixed_shots mode splits an exact event total
-    multinomially.
-    Raw or corrected counts that sum to zero raise DegenerateMaskError.
+    The draw of each mode is described in the module docstring. Raw or
+    corrected counts that sum to zero raise DegenerateMaskError.
     """
     _require_contrast(config.mask.d, config.mask.budget)
     means, accidental = _expected_counts(config)
-    if config.mode == "fixed_time":
-        counts = _poisson_draws(config.seed, means)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-        counts = rng.multinomial(int(config.total), means / means.sum())
+    counts = _NOISE[config.mode]["draw"](config.seed, means, config.total)
     # subtract_accidentals without re-checking a floor built from a checked config
     corrected = np.maximum(counts - accidental, 0.0)
     # the floor is a constant, so a corrected pixel varies as its raw count does
@@ -188,27 +199,22 @@ def sample_campaign(config: CampaignConfig) -> CampaignResult:
     )
 
 
-def _as_count_values(counts: Image | np.ndarray, mask: ObjectMask) -> np.ndarray:
-    source = counts.pixels if isinstance(counts, Image) else np.asarray(counts)
-    values = np.asarray(source, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"expected a 1-D count vector, got shape {values.shape}")
-    if values.size != mask.d:
+def _count_values(counts: Image | np.ndarray, mask: ObjectMask | None = None) -> np.ndarray:
+    """Float pixels of whole counts, checked as an Image is and against a mask if given."""
+    image = counts if isinstance(counts, Image) else Image(counts, kind="counts")
+    values = np.asarray(image.pixels, dtype=float)
+    if mask is not None and values.size != mask.d:
         raise ValueError(f"counts have {values.size} pixels but mask has {mask.d}")
-    whole = source.dtype.kind in "biu"  # integer and boolean counts are whole and finite
-    if not whole and not np.isfinite(values).all():
-        raise ValueError("counts must be finite")
-    if values.min() < 0:
-        raise ValueError("counts must be nonnegative")
-    if not whole and (values != np.floor(values)).any():
+    if image.pixels.dtype.kind == "f" and (values != np.floor(values)).any():
         raise ValueError("counts must be whole numbers")
-    _require_contrast(mask.d, mask.budget)
+    if mask is not None:
+        _require_contrast(mask.d, mask.budget)
     return values
 
 
 def estimate_contrast(counts: Image | np.ndarray, mask: ObjectMask) -> ContrastValue:
     """Contrast of raw detector counts with propagated Poisson sigma."""
-    values = _as_count_values(counts, mask)
+    values = _count_values(counts, mask)
     return _contrasts(mask, values, values)[0]
 
 
@@ -229,7 +235,7 @@ def bootstrap_contrast_sigma(
     contrast and are dropped. Bright or dark totals above MAX_EVENT_TOTAL
     are refused.
     """
-    values = _as_count_values(counts, mask)
+    values = _count_values(counts, mask)
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
     bright = mask.as_array() == 1
@@ -254,11 +260,11 @@ def subtract_accidentals(
 ) -> Image:
     """Counts minus an accidental estimate, clamped at zero.
 
-    The result is real-valued (kind "counts" still, but no longer whole
-    numbers in general).
+    The counts are checked as estimate_contrast checks them. The result is
+    real-valued (kind "counts" still, but no longer whole numbers in
+    general).
     """
-    values = counts.pixels if isinstance(counts, Image) else np.asarray(counts)
-    values = np.asarray(values, dtype=float)
+    values = _count_values(counts)
     estimate = np.broadcast_to(np.asarray(accidental, dtype=float), values.shape)
     if not np.isfinite(estimate).all():
         raise ValueError("accidental estimate must be finite")

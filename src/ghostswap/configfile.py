@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from ghostswap.coincidence import CampaignConfig, _scan_inputs, _validate_delay_count
+from ghostswap.coincidence import _NOISE, CampaignConfig, _scan_inputs, _validate_delay_count
 from ghostswap.errors import ConfigError
 from ghostswap.hilbert import ObjectMask, Projection, validate_dimension
 
@@ -142,14 +142,7 @@ class ImageJob:
         return self.mask_preset == "quadrant_on"
 
     def campaign_config(self) -> CampaignConfig:
-        return CampaignConfig(
-            mask=self.mask,
-            family=self.family,
-            mode=self.mode,
-            total=self.total,
-            accidental_fraction=self.accidental_fraction,
-            seed=self.seed,
-        )
+        return CampaignConfig(**{f.name: getattr(self, f.name) for f in fields(CampaignConfig)})
 
 
 _IMAGE_KEYS = {
@@ -157,8 +150,7 @@ _IMAGE_KEYS = {
     "mask",
     "family",
     "mode",
-    "expected_total",
-    "shots",
+    *(noise["key"] for noise in _NOISE.values()),
     "accidental_fraction",
     "seed",
     "out_dir",
@@ -177,16 +169,14 @@ def load_image_job(path: str | Path) -> ImageJob:
     with _library_checks():
         family = Projection.from_name(family_name)
 
-    has_expected = "expected_total" in payload
-    if has_expected == ("shots" in payload):
-        raise ConfigError("give exactly one of expected_total or shots")
-    if has_expected:
-        key, implied_mode = "expected_total", "fixed_time"
-        total = _get_number(payload, key)
-    else:
-        key, implied_mode = "shots", "fixed_shots"
-        with _library_checks(key):
-            total = float(_get_int(payload, key))
+    given = [mode for mode, noise in _NOISE.items() if noise["key"] in payload]
+    if len(given) != 1:
+        raise ConfigError(f"give exactly one of {' or '.join(n['key'] for n in _NOISE.values())}")
+    (implied_mode,) = given
+    key, whole = _NOISE[implied_mode]["key"], _NOISE[implied_mode]["whole"]
+    total = (_get_int if whole else _get_number)(payload, key)
+    with _library_checks(key):
+        total = float(total)
 
     job = ImageJob(
         mask=mask,

@@ -7,8 +7,10 @@ library's propagation formula.
 
 from __future__ import annotations
 
+import ast
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,27 @@ def test_campaign_config_validation():
             mask=mask, family=Projection.ANTI_SYMMETRIC, mode="fixed_time", total=100,
             seed=-1,
         )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"total": True},
+        {"total": "5"},
+        {"accidental_fraction": "0.5"},
+        {"accidental_fraction": None},
+        {"accidental_fraction": False},
+        {"mode": ["fixed_time"]},
+    ],
+    ids=repr,
+)
+def test_campaign_config_refuses_non_numbers_with_value_error(change):
+    # a bool or a str once passed as a total or a fraction, or failed with
+    # a TypeError from a comparison; an unhashable mode must not reach the
+    # noise table's dict lookup, which would raise TypeError too
+    fields = {"mode": "fixed_time", "total": 100, "accidental_fraction": 0.0, **change}
+    with pytest.raises(ValueError):
+        CampaignConfig(mask=ObjectMask([1, 0]), family=Projection.ANTI_SYMMETRIC, **fields)
 
 
 def test_sample_campaign_dark_pixel_rates():
@@ -188,24 +211,28 @@ def test_sample_campaign_rejects_empty_draws():
 
 
 @pytest.mark.parametrize("mode", ["fixed_time", "fixed_shots"])
-@pytest.mark.parametrize("d", [2, 16, 256, 4096])
+@pytest.mark.parametrize("d", [2, 16, 256, 4096, 20000])
 def test_campaign_result_matches_public_estimators(d, mode):
     # the campaign's own estimates equal the public functions applied to its
     # counts, exactly: a contrast must not depend on how it was batched.
-    # Raw counts are whole numbers and sum exactly in any order; the
-    # corrected counts sit 8.2 below them, so their contrast is the sharper
-    # check.
-    config = CampaignConfig(
-        mask=ObjectMask.half_on(d), family=Projection.ANTI_SYMMETRIC, mode=mode,
-        total=41 * d, accidental_fraction=0.2, seed=d,
-    )
-    result = sample_campaign(config)
-    assert estimate_contrast(result.counts, config.mask) == result.raw_contrast
-    corrected = subtract_accidentals(result.counts, result.accidental_estimate)
-    assert np.array_equal(result.corrected_counts.pixels, corrected.pixels)
-    assert result.corrected_counts.kind == "counts"
-    corrected_value = contrast_of_image(result.corrected_counts, config.mask).value
-    assert corrected_value == result.corrected_contrast.value
+    # Below 2^53 raw counts sum exactly in any order; above it the int64
+    # counts of the campaign and the float counts estimate_contrast sees must
+    # be summed the same way, variances included, also with more than 8192
+    # pixels a side (d = 20000). The corrected counts sit 0.2 * total / d
+    # below the raw ones, so their contrast is the sharper check at 41 d.
+    for total in (41 * d, 1e16, 1e17, 1e18):
+        config = CampaignConfig(
+            mask=ObjectMask.half_on(d), family=Projection.ANTI_SYMMETRIC, mode=mode,
+            total=total, accidental_fraction=0.2, seed=d,
+        )
+        result = sample_campaign(config)
+        assert estimate_contrast(result.counts, config.mask) == result.raw_contrast, total
+        assert contrast_of_image(result.counts, config.mask).value == result.raw_contrast.value
+        corrected = subtract_accidentals(result.counts, result.accidental_estimate)
+        assert np.array_equal(result.corrected_counts.pixels, corrected.pixels), total
+        assert result.corrected_counts.kind == "counts"
+        corrected_value = contrast_of_image(result.corrected_counts, config.mask).value
+        assert corrected_value == result.corrected_contrast.value, total
 
 
 def _composed_campaign(config):
@@ -382,6 +409,67 @@ def test_accidental_subtraction_neutrality():
 # ---------------------------------------------------------------------------
 # contrast estimation
 # ---------------------------------------------------------------------------
+
+def _multinomial_sigma(counts, mask):
+    """First-order sigma of the raw contrast with the event total N = B + D
+    fixed: Var B = Var D = BD/N and Cov(B, D) = -BD/N, written out here."""
+    bright = mask.as_array() == 1
+    on, off = float(counts[bright].sum()), float(counts[~bright].sum())
+    total, n_on, n_off = on + off, mask.budget, mask.d - mask.budget
+    contrast = (on / n_on - off / n_off) / total
+    slope_on, slope_off = (1 / n_on - contrast) / total, -(1 / n_off + contrast) / total
+    variance, covariance = on * off / total, -on * off / total
+    return math.sqrt(
+        slope_on**2 * variance + slope_off**2 * variance + 2 * slope_on * slope_off * covariance
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3, 16, 256])
+def test_raw_sigma_does_not_depend_on_the_noise_model(d):
+    # The raw contrast is homogeneous of degree 0 in (B, D), so
+    # B dC/dB + D dC/dD = 0 and the Poisson sigma equals the multinomial one
+    # in exact arithmetic: a fixed_shots campaign needs no covariance term.
+    # Budgets of at least 2 (where d allows) keep the bright total nonzero.
+    rng = np.random.default_rng(2000 + d)
+    for family in (Projection.ANTI_SYMMETRIC, Projection.SYMMETRIC):
+        for _ in range(50):
+            budget = int(rng.integers(min(2, d - 1), d))
+            values = np.zeros(d, dtype=int)
+            values[rng.choice(d, size=budget, replace=False)] = 1
+            mask = ObjectMask(values)
+            config = CampaignConfig(
+                mask=mask, family=family, mode="fixed_shots",
+                total=int(rng.integers(10, 10**6)), seed=int(rng.integers(2**32)),
+            )
+            result = sample_campaign(config)
+            expected = _multinomial_sigma(result.counts.pixels, mask)
+            sigma = result.raw_contrast.sigma
+            assert abs(sigma - expected) <= 4 * math.ulp(sigma), (family.value, config)
+
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "ghostswap"
+
+
+def test_noise_modes_are_named_only_in_the_noise_table():
+    # every branch on the counting mode reads coincidence._NOISE; a mode name
+    # anywhere else in the package would be a second place that decides it
+    modes = {"fixed_time", "fixed_shots"}
+    tables, strays = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_NOISE"]:
+                tables.append((path.name, {key.value for key in node.value.keys}))
+                inside |= {id(child) for child in ast.walk(node)}
+        strays += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in modes and id(node) not in inside
+        ]
+    assert tables == [("coincidence.py", modes)]
+    assert strays == []
+
 
 def test_estimate_contrast_reference_counts():
     mask = ObjectMask([1, 0])
@@ -639,6 +727,25 @@ def test_subtract_accidentals_clamps_at_zero():
     corrected = subtract_accidentals(np.array([5, 20]), 10.0)
     assert np.array_equal(corrected.pixels, np.array([0.0, 10.0]))
     assert corrected.kind == "counts"
+
+
+@pytest.mark.parametrize(
+    "counts", [[-5, 3], [2.5, 3.0], [np.nan, 3.0], [np.inf, 3.0], [[1, 2]]], ids=repr
+)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda counts: subtract_accidentals(counts, 0.0),
+        lambda counts: estimate_contrast(counts, ObjectMask([1, 0])),
+        lambda counts: bootstrap_contrast_sigma(counts, ObjectMask([1, 0]), resamples=10),
+    ],
+    ids=["subtract_accidentals", "estimate_contrast", "bootstrap_contrast_sigma"],
+)
+def test_counts_have_one_validator(check, counts):
+    # subtract_accidentals once clamped a negative count to zero and kept a
+    # fractional one, counts that the two estimators refuse
+    with pytest.raises(ValueError):
+        check(np.array(counts))
 
 
 def test_subtract_accidentals_rejects_negative_estimate():
